@@ -12,15 +12,11 @@
 // dispatch this PR adds.
 //
 // Alongside the mesh phases, a lineage-carry micro-phase measures the per-hop
-// context cost (deserialize → append → re-serialize) at 20/40/60 dependencies
-// with the native baggage slot off (the legacy re-serialize-per-mutation
-// path) and on, reporting p50 ns and allocations per hop — the before/after
-// for the lineage/baggage optimizations. The mesh phases repeat the same
-// comparison end-to-end: `mesh_lineage_legacy` runs the identical workload as
-// `mesh_lineage` with the native slot disabled.
+// context cost (deserialize → append → re-serialize) at 20/40/60
+// dependencies, reporting p50 ns and allocations per hop.
 //
 // Phases: mesh_baseline (no enforcement — nonzero violations show the race
-// is real), mesh_lineage_legacy, mesh_lineage, mesh_lineage_scoped /
+// is real), mesh_lineage, mesh_lineage_scoped /
 // mesh_lineage_unscoped (deployment-wide BarrierGlobal with a region outside
 // every store's replica set: scoped skips those pairs, unscoped arms vacuous
 // waits), mesh_frontier. Antipode phases must complete with 0 violations —
@@ -93,7 +89,6 @@ struct RatePoint {
 struct MeshPhaseSpec {
   const char* name;
   bool antipode;
-  bool native_slot;  // LineageApi native baggage slot (the optimization under test)
   EnforcementBackendKind backend = EnforcementBackendKind::kLineage;
   bool use_scope = true;
   std::vector<Region> barrier_regions = {Region::kUs};
@@ -103,7 +98,6 @@ struct PhaseResult {
   std::string name;
   std::string backend;
   bool antipode = false;
-  bool native_slot = true;
   bool use_scope = true;
   uint64_t scoped_skips = 0;
   uint64_t violations = 0;
@@ -260,11 +254,8 @@ PhaseResult RunPhase(const MeshTopology& topology, const MeshPhaseSpec& spec,
   PhaseResult result;
   result.name = spec.name;
   result.antipode = spec.antipode;
-  result.native_slot = spec.native_slot;
   result.use_scope = spec.use_scope;
   result.backend = spec.antipode ? std::string(EnforcementBackendKindName(spec.backend)) : "none";
-
-  const bool previous_native = LineageApi::SetNativeSlot(spec.native_slot);
 
   std::printf("\n== phase %s ==\n", spec.name);
   std::printf("%12s %12s %8s %8s %10s %10s %6s %12s %6s\n", "offered/s", "achieved/s", "issued",
@@ -299,7 +290,6 @@ PhaseResult RunPhase(const MeshTopology& topology, const MeshPhaseSpec& spec,
     rate *= config.rate_factor;
   }
   result.scoped_skips = MetricsRegistry::Default().GetCounter("barrier.scoped_skip")->value();
-  LineageApi::SetNativeSlot(previous_native);
 
   const RatePoint& peak = result.Peak();
   std::printf("# peak sustained: %.1f req/s (p50 %.2f ms, p99 %.2f ms, violations %llu, "
@@ -312,17 +302,14 @@ PhaseResult RunPhase(const MeshTopology& topology, const MeshPhaseSpec& spec,
 
 // Lineage-carry micro-phase: one RPC-hop's worth of context work — pull the
 // wire blob into a context, append the hop's stateful writes, re-serialize
-// for the next hop — at 20/40/60 carried dependencies, legacy path vs native
-// baggage slot. Deep-graph handlers perform several stateful writes between
-// serializations; the legacy path re-serializes the whole N-dep lineage into
-// the baggage after every append, the native slot mutates the deserialized
-// object in place and serializes once at the hop boundary. That per-append
-// re-serialize is exactly the O(deps · appends) cost the slot removes.
+// for the next hop — at 20/40/60 carried dependencies. Deep-graph handlers
+// perform several stateful writes between serializations; the native slot
+// mutates the decoded lineage in place and serializes once at the hop
+// boundary.
 constexpr int kCarryAppendsPerHop = 4;
 
 struct CarryPoint {
   int deps = 0;
-  bool native = false;
   double p50_ns = 0.0;
   double p99_ns = 0.0;
   double allocs_per_hop = 0.0;
@@ -340,11 +327,9 @@ Lineage MakeCarryLineage(int deps) {
   return lineage;
 }
 
-CarryPoint RunCarryPoint(int deps, bool native, int iters) {
-  const bool previous = LineageApi::SetNativeSlot(native);
+CarryPoint RunCarryPoint(int deps, int iters) {
   CarryPoint point;
   point.deps = deps;
-  point.native = native;
 
   std::string blob;
   {
@@ -385,7 +370,6 @@ CarryPoint RunCarryPoint(int deps, bool native, int iters) {
   point.p50_ns = latency.Percentile(0.50);
   point.p99_ns = latency.Percentile(0.99);
   point.allocs_per_hop = static_cast<double>(allocs_after - allocs_before) / iters;
-  LineageApi::SetNativeSlot(previous);
   if (sink == 0) {
     std::printf("# impossible\n");
   }
@@ -422,7 +406,6 @@ void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry
   for (const CarryPoint& point : carry) {
     json.BeginObject();
     json.Field("deps", static_cast<double>(point.deps));
-    json.Field("native", point.native);
     json.Field("p50_ns", point.p50_ns);
     json.Field("p99_ns", point.p99_ns);
     json.Field("allocs_per_hop", point.allocs_per_hop);
@@ -437,7 +420,6 @@ void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry
     json.Field("name", phase.name);
     json.Field("backend", phase.backend);
     json.Field("antipode", phase.antipode);
-    json.Field("native_slot", phase.native_slot);
     json.Field("use_scope", phase.use_scope);
     json.Field("scoped_skips", static_cast<double>(phase.scoped_skips));
     json.Field("violations", static_cast<double>(phase.violations));
@@ -527,26 +509,16 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Lineage-carry micro-phase (legacy vs native slot, the hot-path delta).
+  // Lineage-carry micro-phase (the per-hop context cost).
   std::printf("\n== lineage carry (per RPC hop: deserialize + %d appends + serialize) ==\n",
               kCarryAppendsPerHop);
-  std::printf("%6s %8s %12s %12s %14s\n", "deps", "native", "p50 ns", "p99 ns", "allocs/hop");
+  std::printf("%6s %12s %12s %14s\n", "deps", "p50 ns", "p99 ns", "allocs/hop");
   std::vector<CarryPoint> carry;
   for (int deps : {20, 40, 60}) {
-    for (bool native : {false, true}) {
-      CarryPoint point = RunCarryPoint(deps, native, config.carry_iters);
-      std::printf("%6d %8s %12.0f %12.0f %14.2f\n", point.deps, point.native ? "on" : "off",
-                  point.p50_ns, point.p99_ns, point.allocs_per_hop);
-      carry.push_back(point);
-    }
-  }
-  for (size_t i = 0; i + 1 < carry.size(); i += 2) {
-    const CarryPoint& legacy = carry[i];
-    const CarryPoint& native = carry[i + 1];
-    std::printf("# carry delta @%d deps: p50 %.0f -> %.0f ns (%.1fx), allocs/hop %.2f -> %.2f\n",
-                legacy.deps, legacy.p50_ns, native.p50_ns,
-                native.p50_ns > 0 ? legacy.p50_ns / native.p50_ns : 0.0, legacy.allocs_per_hop,
-                native.allocs_per_hop);
+    CarryPoint point = RunCarryPoint(deps, config.carry_iters);
+    std::printf("%6d %12.0f %12.0f %14.2f\n", point.deps, point.p50_ns, point.p99_ns,
+                point.allocs_per_hop);
+    carry.push_back(point);
   }
 
   // The deployment-wide barrier set for the scoped/unscoped pair: kSg hosts
@@ -554,16 +526,11 @@ int Main(int argc, char** argv) {
   const std::vector<Region> kLocalBarrier = {Region::kUs};
   const std::vector<Region> kGlobalBarrier = {Region::kUs, Region::kSg};
   const MeshPhaseSpec specs[] = {
-      {"mesh_baseline", false, true},
-      {"mesh_lineage_legacy", true, false, EnforcementBackendKind::kLineage, true,
-       kLocalBarrier},
-      {"mesh_lineage", true, true, EnforcementBackendKind::kLineage, true, kLocalBarrier},
-      {"mesh_lineage_scoped", true, true, EnforcementBackendKind::kLineage, true,
-       kGlobalBarrier},
-      {"mesh_lineage_unscoped", true, true, EnforcementBackendKind::kLineage, false,
-       kGlobalBarrier},
-      {"mesh_frontier", true, true, EnforcementBackendKind::kStableFrontier, true,
-       kLocalBarrier},
+      {"mesh_baseline", false},
+      {"mesh_lineage", true, EnforcementBackendKind::kLineage, true, kLocalBarrier},
+      {"mesh_lineage_scoped", true, EnforcementBackendKind::kLineage, true, kGlobalBarrier},
+      {"mesh_lineage_unscoped", true, EnforcementBackendKind::kLineage, false, kGlobalBarrier},
+      {"mesh_frontier", true, EnforcementBackendKind::kStableFrontier, true, kLocalBarrier},
   };
   std::vector<PhaseResult> phases;
   for (const MeshPhaseSpec& spec : specs) {
@@ -580,21 +547,6 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(phase.violations), peak.allocs_per_req,
                 peak.metadata_bytes_per_req);
   }
-  // The end-to-end before/after for the native-slot + route optimizations.
-  const PhaseResult* legacy = nullptr;
-  const PhaseResult* native = nullptr;
-  for (const PhaseResult& phase : phases) {
-    if (phase.name == "mesh_lineage_legacy") legacy = &phase;
-    if (phase.name == "mesh_lineage") native = &phase;
-  }
-  if (legacy != nullptr && native != nullptr) {
-    const RatePoint& before = legacy->Peak();
-    const RatePoint& after = native->Peak();
-    std::printf("# native-slot delta (same workload): allocs/req %.0f -> %.0f, p50 %.2f -> "
-                "%.2f ms\n",
-                before.allocs_per_req, after.allocs_per_req, before.p50_ms, after.p50_ms);
-  }
-
   uint64_t enforced_violations = 0;
   for (const PhaseResult& phase : phases) {
     if (phase.antipode) {

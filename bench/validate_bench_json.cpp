@@ -326,10 +326,9 @@ int CheckTraceMesh(const char* path, const JsonValue& root) {
     }
   }
 
-  // Carry pair: the legacy-vs-native lineage-carry comparison at ≥20 deps.
+  // Lineage-carry points: the per-hop context cost at ≥20 deps.
   const JsonValue* carry = root.Find("carry");
-  bool carry_legacy = false;
-  bool carry_native = false;
+  bool carry_deep = false;
   if (carry == nullptr || carry->kind != JsonValue::Kind::kArray || carry->array.empty()) {
     std::fprintf(stderr, "validate_bench_json: missing or empty \"carry\" array\n");
     ++errors;
@@ -341,14 +340,10 @@ int CheckTraceMesh(const char* path, const JsonValue& root) {
         ++errors;
         continue;
       }
-      if (NumberOr(point, "deps", 0.0) >= 20) {
-        (BoolOr(point, "native", false) ? carry_native : carry_legacy) = true;
-      }
+      carry_deep |= NumberOr(point, "deps", 0.0) >= 20;
     }
-    if (!carry_legacy || !carry_native) {
-      std::fprintf(stderr,
-                   "validate_bench_json: carry array lacks the legacy/native pair at "
-                   ">=20 deps\n");
+    if (!carry_deep) {
+      std::fprintf(stderr, "validate_bench_json: carry array lacks a point at >=20 deps\n");
       ++errors;
     }
   }
@@ -363,7 +358,7 @@ int CheckTraceMesh(const char* path, const JsonValue& root) {
                                     "scoped_skips", "metadata_bytes_per_req",
                                     "violations",   "allocs_per_req"};
   const char* required_strings[] = {"name", "backend"};
-  const char* required_bools[] = {"antipode", "native_slot", "use_scope"};
+  const char* required_bools[] = {"antipode", "use_scope"};
   bool any_lineage = false;
   bool any_frontier = false;
   bool any_scoped_engaged = false;

@@ -36,9 +36,9 @@ Status DryRunStatus(const Lineage& lineage, Region region, const BarrierOptions&
   return Status::FailedPrecondition(std::move(detail));
 }
 
-// Blocking core shared by Barrier/BarrierGlobal (and BarrierAsync's
-// inline-blocking bounce): latches on the backend's completion, then records
-// the enforcement memo when the backend proved it sound.
+// Blocking core shared by Barrier/BarrierGlobal: latches on the backend's
+// completion, then records the enforcement memo when the backend proved it
+// sound.
 Status RunBlocking(EnforcementBackend& backend, const Lineage& lineage,
                    const std::vector<Region>& regions, const BarrierOptions& options) {
   const TimePoint deadline = options.EffectiveDeadline();
@@ -139,13 +139,6 @@ void BarrierAsync(Lineage lineage, Region region, ThreadPool* executor,
     return;
   }
   EnforcementBackend& backend = DispatchBackend(options);
-  if (backend.MayBlockInline(options)) {
-    // Inline-blocking strategies (sequential lineage mode) run whole on the
-    // executor so the caller never parks.
-    executor->Submit([&backend, lineage = std::move(lineage), region, done = std::move(done),
-                      options] { done(RunBlocking(backend, lineage, {region}, options)); });
-    return;
-  }
   // Event-driven: no thread blocks while dependencies replicate; the gather
   // bounces the result onto `executor` so `done` never runs on a timer or
   // apply thread. A finite deadline cancels outstanding waits, so `done` is

@@ -1,7 +1,8 @@
 // Pluggable enforcement strategies (DESIGN.md §12). A barrier entry point
 // resolves one `EnforcementBackend` and delegates the actual wait plan to it;
 // the entry points own only the call plumbing (dry-run, blocking latch /
-// executor bounce, memoization of blocking successes).
+// executor bounce, memoization of blocking successes). Launch never blocks
+// its caller: every backend fans its waits out and gathers them.
 //
 // Two strategies ship in-tree:
 //   * kLineage (`LineageBarrierBackend`) — Antipode's native plan: group the
@@ -34,17 +35,6 @@
 
 namespace antipode {
 
-enum class BarrierWaitMode {
-  // Group by store, fan every wait out concurrently, gather at one shared
-  // deadline. The default.
-  kParallel,
-  // Wait for one dependency at a time in lineage order. Kept as the
-  // measurable baseline (bench/micro_barrier) and for debugging; semantics
-  // are identical, latency and timeout sharpness are worse. Only meaningful
-  // under the lineage backend (frontier waits are inherently batched).
-  kSequential,
-};
-
 struct BarrierOptions {
   // Deadline policy for the whole barrier (every wait in it shares the one
   // effective deadline). First member so existing designated initializers
@@ -54,7 +44,6 @@ struct BarrierOptions {
   // Dependencies on datastores without a registered shim: skip them (true,
   // the incremental-deployment default) or fail the barrier (false).
   bool ignore_unknown_stores = true;
-  BarrierWaitMode wait_mode = BarrierWaitMode::kParallel;
   // Inspect instead of enforce: return immediately with Ok when every
   // dependency is already visible, FailedPrecondition (listing the unmet
   // dependencies) otherwise. Never blocks. `BarrierDryRun` is the richer
@@ -91,14 +80,6 @@ class EnforcementBackend {
 
   // Stable label carried on `barrier.backend` metrics and bench output.
   virtual std::string_view name() const = 0;
-
-  // True when Launch may block the calling thread before returning
-  // (sequential lineage mode runs its waits inline). BarrierAsync submits
-  // such launches to the executor instead of calling them on the caller.
-  virtual bool MayBlockInline(const BarrierOptions& options) const {
-    (void)options;
-    return false;
-  }
 
   // Enforces `lineage` at every region in `regions`, bounded by `deadline`.
   // Returns non-Ok (and never calls `done`) only for fail-fast launch errors

@@ -31,8 +31,7 @@ class StableFrontierBackend : public EnforcementBackend {
  public:
   std::string_view name() const override { return "stable_frontier"; }
 
-  // Frontier waits are inherently batched; wait_mode is ignored and Launch
-  // never blocks the caller.
+  // Frontier waits are inherently batched; Launch never blocks the caller.
   Status Launch(const Lineage& lineage, const std::vector<Region>& regions, TimePoint deadline,
                 const BarrierOptions& options, std::function<void(Status)> done,
                 bool* memoizable) override;

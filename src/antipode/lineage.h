@@ -97,10 +97,9 @@ class Lineage {
   // "visible everywhere", so the dependency drops. Returns the number
   // pruned (also accumulated in the `lineage.pruned_deps` metric).
   //
-  // Opt-in at Serialize/Transfer boundaries (e.g. via
-  // LineageApi::SetPruneOnInstall) rather than automatic: tests and
-  // debugging tooling legitimately inspect lineages for writes that have
-  // long replicated.
+  // Opt-in (a caller prunes before LineageApi::Install or Serialize) rather
+  // than automatic: tests and debugging tooling legitimately inspect
+  // lineages for writes that have long replicated.
   size_t PruneVisibleEverywhere(const VisibilityCache& cache = VisibilityCache::Default());
 
   // Enforcement memo (DESIGN.md §8): bit r set ⇒ some past barrier verified

@@ -2,125 +2,60 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 
-#include "src/context/merge.h"
 #include "src/context/request_context.h"
 
 namespace antipode {
 namespace {
 
 std::atomic<uint64_t> g_next_lineage_id{1};
-std::atomic<bool> g_prune_on_install{false};
-std::atomic<bool> g_native_slot{true};
 
-std::string UnionMerge(const std::string& existing, const std::string& incoming) {
-  auto ours = Lineage::Deserialize(existing);
-  auto theirs = Lineage::Deserialize(incoming);
-  if (!ours.ok()) {
-    return incoming;
+std::shared_ptr<void> DecodeLineage(std::string_view blob) {
+  auto lineage = Lineage::Deserialize(blob);
+  if (!lineage.ok()) {
+    return nullptr;
   }
-  if (!theirs.ok()) {
-    return existing;
-  }
-  ours->Transfer(*theirs);
-  if (ours->id() == 0) {
-    ours->set_id(theirs->id());
-  }
-  return ours->Serialize();
+  return std::make_shared<Lineage>(std::move(*lineage));
 }
 
-// Native-slot flavor of UnionMerge: folds the incoming wire into the live
-// object without re-serializing the result (the slot is marked dirty and
-// flushed at the next hop). Clones first when the pointer is shared — other
-// context copies alias the object.
-void NativeUnionMerge(std::shared_ptr<void>& object, const std::string& incoming) {
+std::shared_ptr<void> CloneLineage(const void* object) {
+  return std::make_shared<Lineage>(*static_cast<const Lineage*>(object));
+}
+
+void EncodeLineage(const void* object, std::string& out) {
+  static_cast<const Lineage*>(object)->SerializeTo(out);
+}
+
+// Lineages accumulate across the request tree (§6.2): a callee's returned
+// lineage is unioned into the caller's.
+void MergeLineage(void* object, std::string_view incoming) {
   auto theirs = Lineage::Deserialize(incoming);
   if (!theirs.ok()) {
-    return;  // keep ours, like UnionMerge on a corrupt incoming blob
+    return;  // keep ours on a corrupt incoming blob
   }
-  auto* mine = static_cast<Lineage*>(object.get());
-  if (object.use_count() > 1) {
-    object = std::make_shared<Lineage>(*mine);
-    mine = static_cast<Lineage*>(object.get());
-  }
+  auto* mine = static_cast<Lineage*>(object);
   mine->Transfer(*theirs);
   if (mine->id() == 0) {
     mine->set_id(theirs->id());
   }
 }
 
-// Serialize thunk for the native slot (called by FlushNativeSlot at hop
-// boundaries). Prune-on-install applies here too: the flush is exactly the
-// "re-encoded into baggage" point the option documents.
-void SerializeLineageSlot(const void* object, std::string& out) {
-  const auto* lineage = static_cast<const Lineage*>(object);
-  if (LineageApi::prune_on_install()) {
-    Lineage pruned = *lineage;
-    pruned.PruneVisibleEverywhere();
-    pruned.SerializeTo(out);
-  } else {
-    lineage->SerializeTo(out);
-  }
-}
+constexpr RequestContext::NativeSlotOps kLineageSlot = {
+    kLineageBaggageKey, &DecodeLineage, &CloneLineage, &EncodeLineage, &MergeLineage};
 
-// The context's native lineage, populating the slot from the baggage entry
-// on first access (one deserialize per hop instead of one per read/mutate).
-// nullptr when no lineage is installed at all.
-const Lineage* NativeCurrent(RequestContext* context) {
-  RequestContext::NativeSlot& slot = context->native_slot();
-  if (slot.object != nullptr && slot.key == std::string_view(kLineageBaggageKey)) {
-    return static_cast<const Lineage*>(slot.object.get());
-  }
-  const std::string* blob = context->baggage().Find(kLineageBaggageKey);
-  if (blob == nullptr) {
-    return nullptr;
-  }
-  auto lineage = Lineage::Deserialize(*blob);
-  if (!lineage.ok()) {
-    return nullptr;
-  }
-  slot.key = kLineageBaggageKey;
-  slot.serialize = &SerializeLineageSlot;
-  slot.object = std::make_shared<Lineage>(std::move(*lineage));
-  slot.dirty = false;
-  return static_cast<const Lineage*>(slot.object.get());
-}
+[[maybe_unused]] const bool kLineageSlotBound =
+    (RequestContext::BindNativeSlot(kLineageSlot), true);
 
-// Uniquely-owned native lineage for in-place mutation (copy-on-write when
-// the object is shared with other context copies). nullptr when no lineage
-// is installed.
-Lineage* MutableNative(RequestContext* context) {
-  if (NativeCurrent(context) == nullptr) {
-    return nullptr;
-  }
-  RequestContext::NativeSlot& slot = context->native_slot();
-  if (slot.object.use_count() > 1) {
-    slot.object = std::make_shared<Lineage>(*static_cast<const Lineage*>(slot.object.get()));
-  }
-  return static_cast<Lineage*>(slot.object.get());
-}
-
-// Post-mutation bookkeeping shared by the native mutators.
-void CommitNative(RequestContext* context, Lineage* lineage) {
-  if (g_prune_on_install.load(std::memory_order_relaxed)) {
-    lineage->PruneVisibleEverywhere();
-  }
-  context->native_slot().dirty = true;
+// The current context's lineage for in-place mutation; nullptr when no
+// context or no lineage is installed.
+Lineage* MutableCurrent() {
+  RequestContext* context = RequestContext::Current();
+  return context == nullptr ? nullptr : static_cast<Lineage*>(context->MutableNativeObject());
 }
 
 }  // namespace
 
-void LineageApi::EnsureMergerRegistered() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    BaggageMergerRegistry::Instance().Register(kLineageBaggageKey, UnionMerge,
-                                               NativeUnionMerge);
-  });
-}
-
 Lineage LineageApi::Root() {
-  EnsureMergerRegistered();
   Lineage lineage(g_next_lineage_id.fetch_add(1, std::memory_order_relaxed));
   Install(lineage);
   return lineage;
@@ -129,155 +64,49 @@ Lineage LineageApi::Root() {
 void LineageApi::Stop() {
   RequestContext* context = RequestContext::Current();
   if (context != nullptr) {
-    context->ClearNativeSlot();
-    context->baggage().Erase(kLineageBaggageKey);
+    context->EraseNativeObject();
   }
 }
 
 std::optional<Lineage> LineageApi::Current() {
-  EnsureMergerRegistered();
   RequestContext* context = RequestContext::Current();
   if (context == nullptr) {
     return std::nullopt;
   }
-  if (g_native_slot.load(std::memory_order_relaxed)) {
-    const Lineage* lineage = NativeCurrent(context);
-    if (lineage == nullptr) {
-      return std::nullopt;
-    }
-    return *lineage;
-  }
-  // Legacy path: the baggage string is authoritative. Flush first in case a
-  // native mutation predates a mid-run toggle.
-  context->FlushNativeSlot();
-  const std::string* blob = context->baggage().Find(kLineageBaggageKey);
-  if (blob == nullptr) {
+  const auto* lineage = static_cast<const Lineage*>(context->NativeObject());
+  if (lineage == nullptr) {
     return std::nullopt;
   }
-  auto lineage = Lineage::Deserialize(*blob);
-  if (!lineage.ok()) {
-    return std::nullopt;
-  }
-  return std::move(*lineage);
-}
-
-bool LineageApi::SetPruneOnInstall(bool enabled) {
-  return g_prune_on_install.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool LineageApi::prune_on_install() {
-  return g_prune_on_install.load(std::memory_order_relaxed);
-}
-
-bool LineageApi::SetNativeSlot(bool enabled) {
-  return g_native_slot.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool LineageApi::native_slot_enabled() {
-  return g_native_slot.load(std::memory_order_relaxed);
+  return *lineage;
 }
 
 void LineageApi::Install(const Lineage& lineage) {
-  EnsureMergerRegistered();
   RequestContext* context = RequestContext::Current();
-  if (context == nullptr) {
-    return;
+  if (context != nullptr) {
+    context->SetNativeObject(std::make_shared<Lineage>(lineage));
   }
-  if (g_native_slot.load(std::memory_order_relaxed)) {
-    RequestContext::NativeSlot& slot = context->native_slot();
-    slot.key = kLineageBaggageKey;
-    slot.serialize = &SerializeLineageSlot;
-    slot.object = std::make_shared<Lineage>(lineage);
-    CommitNative(context, static_cast<Lineage*>(slot.object.get()));
-    return;
-  }
-  context->ClearNativeSlot();  // the string entry becomes authoritative
-  // Serialize into a reused per-thread scratch, then copy-assign into the
-  // baggage entry: on the steady-state Append→Install cycle both buffers have
-  // warm capacity, so installing a lineage allocates nothing.
-  thread_local std::string scratch;
-  scratch.clear();
-  if (g_prune_on_install.load(std::memory_order_relaxed)) {
-    Lineage pruned = lineage;
-    pruned.PruneVisibleEverywhere();
-    pruned.SerializeTo(scratch);
-  } else {
-    lineage.SerializeTo(scratch);
-  }
-  context->baggage().Assign(kLineageBaggageKey, scratch);
 }
 
 void LineageApi::Append(const WriteId& dep) {
-  EnsureMergerRegistered();
-  RequestContext* context = RequestContext::Current();
-  if (context == nullptr) {
-    return;
-  }
-  if (g_native_slot.load(std::memory_order_relaxed)) {
-    Lineage* lineage = MutableNative(context);
-    if (lineage == nullptr) {
-      return;
-    }
+  if (Lineage* lineage = MutableCurrent()) {
     lineage->Append(dep);
-    CommitNative(context, lineage);
-    return;
   }
-  auto lineage = Current();
-  if (!lineage.has_value()) {
-    return;
-  }
-  lineage->Append(dep);
-  Install(*lineage);
 }
 
 void LineageApi::Remove(const WriteId& dep) {
-  EnsureMergerRegistered();
-  RequestContext* context = RequestContext::Current();
-  if (context == nullptr) {
-    return;
-  }
-  if (g_native_slot.load(std::memory_order_relaxed)) {
-    Lineage* lineage = MutableNative(context);
-    if (lineage == nullptr) {
-      return;
-    }
+  if (Lineage* lineage = MutableCurrent()) {
     lineage->Remove(dep);
-    CommitNative(context, lineage);
-    return;
   }
-  auto lineage = Current();
-  if (!lineage.has_value()) {
-    return;
-  }
-  lineage->Remove(dep);
-  Install(*lineage);
 }
 
 void LineageApi::Transfer(const Lineage& from) {
-  EnsureMergerRegistered();
-  RequestContext* context = RequestContext::Current();
-  if (context == nullptr) {
-    return;
-  }
-  if (g_native_slot.load(std::memory_order_relaxed)) {
-    Lineage* lineage = MutableNative(context);
-    if (lineage == nullptr) {
-      // Transferring into a context with no lineage installs a copy, so the
-      // dependencies are not silently dropped.
-      Install(from);
-      return;
-    }
+  if (Lineage* lineage = MutableCurrent()) {
     lineage->Transfer(from);
-    CommitNative(context, lineage);
     return;
   }
-  auto lineage = Current();
-  if (!lineage.has_value()) {
-    Install(from);
-    return;
-  }
-  lineage->Transfer(from);
-  Install(*lineage);
+  // Transferring into a context with no lineage installs a copy, so the
+  // dependencies are not silently dropped.
+  Install(from);
 }
 
 }  // namespace antipode

@@ -1,12 +1,15 @@
 // The context-bound Lineage API of Table 2. The current lineage lives in the
-// request-context baggage (key "antipode-lineage"), so it piggybacks on the
-// same propagation channel as distributed-tracing metadata (paper §6.2) and
-// automatically crosses RPC and message-queue hops. A union merger is
-// registered so lineage updates made inside callees flow back to callers in
-// RPC responses.
+// request context's native slot (RequestContext::NativeObject), shadowing the
+// baggage entry "antipode-lineage" that carries it on the wire, so it
+// piggybacks on the same propagation channel as distributed-tracing metadata
+// (paper §6.2) and automatically crosses RPC and message-queue hops. The
+// slot's merge unions what callees return in RPC responses into the caller's
+// lineage.
 //
 // All functions operate on the RequestContext installed on the calling
 // thread; they are no-ops (returning empty lineages) when no context exists.
+// A caller that wants pruned baggage calls Lineage::PruneVisibleEverywhere
+// before Install.
 
 #ifndef SRC_ANTIPODE_LINEAGE_API_H_
 #define SRC_ANTIPODE_LINEAGE_API_H_
@@ -38,39 +41,13 @@ class LineageApi {
   // Writes `lineage` into the current context (overwriting).
   static void Install(const Lineage& lineage);
 
-  // append(ℒ, dep) / remove(ℒ, dep) on the current lineage.
+  // append(ℒ, dep) / remove(ℒ, dep) on the current lineage, in place.
   static void Append(const WriteId& dep);
   static void Remove(const WriteId& dep);
 
   // transfer(ℒa, ℒb): folds `from`'s dependencies into the current lineage,
   // explicitly carrying causality across lineage boundaries (§5.1).
   static void Transfer(const Lineage& from);
-
-  // When enabled, every point where the lineage is (re-)established — a
-  // mutation through this API, and the flush that re-encodes it into baggage
-  // at a hop — first runs Lineage::PruneVisibleEverywhere against the
-  // process-wide visibility cache, so baggage sheds dependencies that can no
-  // longer block any barrier. Off by default — pruning is an explicit
-  // deployment choice; tests and checkers inspect full lineages. Returns the
-  // previous setting.
-  static bool SetPruneOnInstall(bool enabled);
-  static bool prune_on_install();
-
-  // When enabled (the default), the current lineage lives as a native object
-  // in the request context's native slot (RequestContext::NativeSlot):
-  // Append/Remove/Transfer mutate it in place and the serialized baggage
-  // entry is refreshed only at hop boundaries, instead of paying a full
-  // deserialize→mutate→re-serialize cycle per mutation — the dominant cost
-  // at 20–60 dependencies per request (DESIGN.md §14). Disabling falls back
-  // to the legacy re-serialize-per-mutation path; the trace-mesh bench
-  // toggles this to measure the delta. Returns the previous setting. Only
-  // safe to toggle between requests (no context mid-flight on any thread).
-  static bool SetNativeSlot(bool enabled);
-  static bool native_slot_enabled();
-
-  // Ensures the baggage union-merger for the lineage key is registered.
-  // Called internally by every API entry point; exposed for tests.
-  static void EnsureMergerRegistered();
 };
 
 }  // namespace antipode

@@ -72,8 +72,7 @@ std::shared_ptr<BarrierTraceState> MaybeStartBarrierTrace(Region region) {
 
 // Emits the "antipode/barrier" parent span once the fan-out has gathered,
 // annotated with the dependency count, outcome, and critical path.
-void FinishBarrierTrace(const BarrierTraceState& trace, size_t num_deps, const char* mode,
-                        const Status& status) {
+void FinishBarrierTrace(const BarrierTraceState& trace, size_t num_deps, const Status& status) {
   TraceEvent event;
   event.name = "antipode/barrier";
   event.category = "barrier";
@@ -84,7 +83,6 @@ void FinishBarrierTrace(const BarrierTraceState& trace, size_t num_deps, const c
   event.start = trace.start;
   event.end = GlobalClock().Now();
   event.annotations.emplace_back("deps", std::to_string(num_deps));
-  event.annotations.emplace_back("mode", mode);
   event.annotations.emplace_back("status", std::string(StatusCodeName(status.code())));
   if (trace.max_stall_ms >= 0.0) {
     event.annotations.emplace_back("critical_path_store", trace.critical_store);
@@ -239,7 +237,7 @@ Status LaunchBarrierWaits(const Lineage& lineage, const std::vector<Region>& reg
 
   auto finish = [primary, start, num_deps, deadline, trace, done = std::move(done)](Status status) {
     if (trace != nullptr) {
-      FinishBarrierTrace(*trace, num_deps, "parallel", status);
+      FinishBarrierTrace(*trace, num_deps, status);
     }
     // In virtual time completion instants are exact, so a finite deadline is
     // honored with zero slack: the deadline timer claims every outstanding
@@ -317,114 +315,11 @@ Status LaunchBarrierWaits(const Lineage& lineage, const std::vector<Region>& reg
   return Status::Ok();
 }
 
-// The legacy one-dependency-at-a-time loop, kept as a baseline. Still uses
-// the single shared deadline: each wait gets the budget remaining until it.
-// Memoizes (and takes the memo fast path) per region internally, matching
-// the pre-strategy behaviour for multi-region sequential barriers.
-Status BarrierSequential(const Lineage& lineage, Region region, TimePoint deadline,
-                         const BarrierOptions& options) {
-  if (options.use_cache && lineage.enforced_at(region)) {
-    return MemoizedOk(lineage, 1, region);
-  }
-  const TimePoint start = GlobalClock().Now();
-  std::shared_ptr<BarrierTraceState> trace = MaybeStartBarrierTrace(region);
-  Status result = Status::Ok();
-  bool any_wait = false;
-  bool memoizable = true;
-  uint64_t scoped_skips = 0;
-  for (const auto& dep : lineage.deps()) {
-    // Same locality-scope rule as the parallel path: an out-of-scope
-    // dependency is vacuously met at this region.
-    if (options.use_scope && (dep.scope & RegionBit(region)) == 0) {
-      ++scoped_skips;
-      continue;
-    }
-    Shim* shim = options.registry->Lookup(dep.store);
-    if (shim == nullptr) {
-      if (options.ignore_unknown_stores) {
-        memoizable = false;
-        continue;
-      }
-      result = Status::FailedPrecondition("no shim registered for store: " + dep.store);
-      break;
-    }
-    VisibilityHandle vis = options.use_cache ? shim->visibility() : nullptr;
-    if (options.use_cache) {
-      if (vis != nullptr && vis->IsVisible(region, dep.key, dep.version)) {
-        CacheCounters().hit->Increment();
-        continue;
-      }
-      CacheCounters().miss->Increment();
-    }
-    any_wait = true;
-    ANTIPODE_ALWAYS("barrier.scope_respected",
-                    !options.use_scope || (dep.scope & RegionBit(region)) != 0);
-    if (!shim->wait_implies_visibility()) {
-      memoizable = false;
-    }
-    const Duration budget = RemainingBudget(deadline);
-    if (deadline != TimePoint::max() && budget == Duration::zero()) {
-      result = Status::DeadlineExceeded("barrier deadline before " + dep.ToString());
-      break;
-    }
-    const TimePoint wait_start = GlobalClock().Now();
-    Status status = shim->Wait(region, dep, budget);
-    if (status.ok() && vis != nullptr && shim->wait_implies_visibility()) {
-      vis->NoteVisible(region, dep.key, dep.version);
-    }
-    if (trace != nullptr) {
-      const TimePoint end = GlobalClock().Now();
-      const double stall_ms =
-          TimeScale::ToModelMillis(std::chrono::duration_cast<Duration>(end - wait_start));
-      trace->Observe(stall_ms, dep);
-      RecordWaitSpan(*trace, dep, region, end, stall_ms, status);
-    }
-    if (!status.ok()) {
-      result = status;
-      break;
-    }
-  }
-  if (trace != nullptr) {
-    FinishBarrierTrace(*trace, lineage.Size(), "sequential", result);
-  }
-  CountScopedSkips(scoped_skips);
-  if (options.use_cache && !any_wait && result.ok()) {
-    CacheCounters().zero_wait->Increment();
-  }
-  if (options.use_cache && result.ok() && memoizable) {
-    lineage.MarkEnforced(region);
-  }
-  if (SimScheduler::Active() != nullptr) {
-    ANTIPODE_ALWAYS("barrier.deadline_honored",
-                    deadline == TimePoint::max() || GlobalClock().Now() <= deadline);
-  }
-  ANTIPODE_SOMETIMES("barrier.deadline_exceeded",
-                     result.code() == StatusCode::kDeadlineExceeded);
-  CountBarrier(region, result,
-               TimeScale::ToModelMillis(std::chrono::duration_cast<Duration>(
-                   GlobalClock().Now() - start)));
-  return result;
-}
-
 }  // namespace
 
 Status LineageBarrierBackend::Launch(const Lineage& lineage, const std::vector<Region>& regions,
                                      TimePoint deadline, const BarrierOptions& options,
                                      std::function<void(Status)> done, bool* memoizable) {
-  if (options.wait_mode == BarrierWaitMode::kSequential) {
-    if (memoizable != nullptr) {
-      *memoizable = false;  // BarrierSequential memoizes per region itself
-    }
-    Status result = Status::Ok();
-    for (Region region : regions) {
-      result = BarrierSequential(lineage, region, deadline, options);
-      if (!result.ok()) {
-        break;
-      }
-    }
-    done(result);
-    return Status::Ok();
-  }
   if (options.use_cache && AllEnforced(lineage, regions)) {
     if (PropertyRegistry::Instance().deep_checks()) {
       // The memo claims every dependency is already visible at every region;

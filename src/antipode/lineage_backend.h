@@ -19,11 +19,6 @@ class LineageBarrierBackend : public EnforcementBackend {
  public:
   std::string_view name() const override { return "lineage"; }
 
-  // Sequential mode runs its waits inline on the caller.
-  bool MayBlockInline(const BarrierOptions& options) const override {
-    return options.wait_mode == BarrierWaitMode::kSequential;
-  }
-
   Status Launch(const Lineage& lineage, const std::vector<Region>& regions, TimePoint deadline,
                 const BarrierOptions& options, std::function<void(Status)> done,
                 bool* memoizable) override;

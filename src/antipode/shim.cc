@@ -2,36 +2,9 @@
 
 namespace antipode {
 
-Status Shim::WaitLineage(Region region, const Lineage& lineage,
-                         const LineageWaitOptions& options) {
-  const TimePoint deadline = options.EffectiveDeadline();
-  for (const auto& dep : lineage.DepsForStore(store_name())) {
-    if (deadline != TimePoint::max() && RemainingBudget(deadline) == Duration::zero()) {
-      return Status::DeadlineExceeded("lineage wait: " + dep.ToString());
-    }
-    Status status = Wait(region, dep, RemainingBudget(deadline));
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  return Status::Ok();
-}
-
 ThreadPool& Shim::BlockingWaitPool() {
   static auto* pool = new ThreadPool(16, "shim-wait");
   return *pool;
-}
-
-void Shim::WaitAsync(Region region, const WriteId& id, TimePoint deadline, WaitCallback done) {
-  // Compatibility adapter: park the blocking Wait on the shared pool. The
-  // remaining budget is derived from the caller's single shared deadline.
-  auto done_ptr = std::make_shared<WaitCallback>(std::move(done));
-  const bool submitted = BlockingWaitPool().Submit([this, region, id, deadline, done_ptr] {
-    (*done_ptr)(Wait(region, id, RemainingBudget(deadline)));
-  });
-  if (!submitted) {
-    (*done_ptr)(Status::Unavailable("shim wait pool shut down"));
-  }
 }
 
 void Shim::WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoint deadline,

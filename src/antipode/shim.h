@@ -25,15 +25,6 @@
 
 namespace antipode {
 
-// How long a lineage-wide wait may take: one embedded WaitPolicy — the same
-// policy type BarrierOptions embeds, so the enforcement layer threads a
-// single deadline vocabulary through every backend.
-struct LineageWaitOptions {
-  WaitPolicy wait;
-
-  TimePoint EffectiveDeadline() const { return wait.EffectiveDeadline(); }
-};
-
 class Shim {
  public:
   virtual ~Shim() = default;
@@ -52,15 +43,11 @@ class Shim {
 
   // Asynchronous `wait`: `done` fires once `id` is visible at `region` (Ok)
   // or once `deadline` passes (DeadlineExceeded) — whichever comes first.
-  // Parallel barriers fan one WaitAsync per dependency and gather, so every
-  // dependency shares the same deadline instead of a dwindling per-dep budget.
-  //
-  // The default adapter runs the blocking Wait on a small shared thread pool,
-  // so out-of-tree shims that only implement Wait keep working; shims whose
-  // store exposes an event-driven watermark should override this to avoid
-  // parking a thread per dependency.
+  // Barriers fan their waits out and gather, so every dependency shares the
+  // same deadline instead of a dwindling per-dep budget. Shims whose store
+  // exposes an event-driven watermark never park a thread per dependency.
   virtual void WaitAsync(Region region, const WriteId& id, TimePoint deadline,
-                         WaitCallback done);
+                         WaitCallback done) = 0;
 
   // Batched asynchronous `wait`: `done` fires exactly once — Ok when every
   // id in `ids` is visible at `region`, or the first error (in practice
@@ -105,12 +92,6 @@ class Shim {
   virtual void WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoint deadline,
                                  WaitCallback done);
 
-  // wait(ℒ): waits for every dependency of `lineage` that belongs to this
-  // datastore. Deadline-based so the bound covers the whole set instead of
-  // handing later dependencies a dwindling budget.
-  Status WaitLineage(Region region, const Lineage& lineage,
-                     const LineageWaitOptions& options = {});
-
   // Locality scope this shim stamps onto the dependencies it appends — the
   // store's replica footprint (DESIGN.md §13). All-ones ("may need
   // enforcement anywhere") is the safe default for shims that cannot tell;
@@ -124,8 +105,8 @@ class Shim {
   }
 
  protected:
-  // Shared executor for blocking-wait adapters (default WaitAsync, polling
-  // shims). Lazily constructed, intentionally leaked at process exit.
+  // Shared executor for shims that poll (DynamoShim's probe loop). Lazily
+  // constructed, intentionally leaked at process exit.
   static ThreadPool& BlockingWaitPool();
 };
 
@@ -146,8 +127,7 @@ enum class EnforcementBackendKind : uint8_t {
 
 std::string_view EnforcementBackendKindName(EnforcementBackendKind kind);
 
-// ShimRegistry construction knobs (namespace-scope for the same
-// complete-class-context reason as LineageWaitOptions).
+// ShimRegistry construction knobs.
 struct ShimRegistryOptions {
   // Label carried on the registry's metrics ("default" for the process-wide
   // instance, "test"/"bench" for private ones).

@@ -134,12 +134,18 @@ class Deserializer {
     }
   }
 
+  // All-or-nothing: a failed read leaves the position where it was.
   Result<std::string> ReadString() {
+    const size_t start = pos_;
     auto len = ReadVarint();
     if (!len.ok()) {
+      pos_ = start;
       return len.status();
     }
-    if (pos_ + *len > data_.size()) {
+    // Compared against what is left, not as `pos_ + len`: a varint length
+    // near 2^64 would wrap that sum and pass the check.
+    if (*len > Remaining()) {
+      pos_ = start;
       return TruncatedError();
     }
     std::string out(data_.substr(pos_, *len));

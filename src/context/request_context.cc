@@ -7,7 +7,12 @@ namespace {
 
 thread_local RequestContext* tls_current = nullptr;
 
+// Written once during static initialization, read-only afterwards.
+const RequestContext::NativeSlotOps* g_native_ops = nullptr;
+
 }  // namespace
+
+void RequestContext::BindNativeSlot(const NativeSlotOps& ops) { g_native_ops = &ops; }
 
 RequestContext* RequestContext::Current() { return tls_current; }
 
@@ -18,22 +23,69 @@ std::string RequestContext::SerializeCurrent() {
   return tls_current->Serialize();
 }
 
-void RequestContext::FlushNativeSlot() {
-  if (!native_slot_.dirty || native_slot_.object == nullptr) {
+const void* RequestContext::NativeObject() {
+  if (native_object_ == nullptr && g_native_ops != nullptr) {
+    const std::string* blob = baggage_.Find(g_native_ops->key);
+    if (blob != nullptr) {
+      native_object_ = g_native_ops->decode(*blob);
+      native_dirty_ = false;
+    }
+  }
+  return native_object_.get();
+}
+
+void* RequestContext::MutableNativeObject() {
+  if (NativeObject() == nullptr) {
+    return nullptr;
+  }
+  if (native_object_.use_count() > 1) {
+    native_object_ = g_native_ops->clone(native_object_.get());
+  }
+  native_dirty_ = true;
+  return native_object_.get();
+}
+
+void RequestContext::SetNativeObject(std::shared_ptr<void> object) {
+  native_object_ = std::move(object);
+  native_dirty_ = true;
+}
+
+void RequestContext::EraseNativeObject() {
+  native_object_.reset();
+  native_dirty_ = false;
+  if (g_native_ops != nullptr) {
+    baggage_.Erase(g_native_ops->key);
+  }
+}
+
+void RequestContext::MergeBaggage(const Baggage& incoming) {
+  for (const auto& [key, value] : incoming.entries()) {
+    if (g_native_ops != nullptr && key == g_native_ops->key) {
+      if (void* object = MutableNativeObject()) {
+        g_native_ops->merge(object, value);
+        continue;
+      }
+    }
+    baggage_.Assign(key, value);
+  }
+}
+
+void RequestContext::FlushNativeObject() {
+  if (!native_dirty_ || native_object_ == nullptr) {
     return;
   }
-  // Serialize into a reused per-thread scratch, then copy-assign into the
+  // Encode into a reused per-thread scratch, then copy-assign into the
   // baggage entry: on the steady-state flush cycle both buffers have warm
   // capacity, so the write-back allocates nothing.
   thread_local std::string scratch;
   scratch.clear();
-  native_slot_.serialize(native_slot_.object.get(), scratch);
-  baggage_.Assign(native_slot_.key, scratch);
-  native_slot_.dirty = false;
+  g_native_ops->encode(native_object_.get(), scratch);
+  baggage_.Assign(g_native_ops->key, scratch);
+  native_dirty_ = false;
 }
 
 std::string RequestContext::Serialize() {
-  FlushNativeSlot();
+  FlushNativeObject();
   Serializer s;
   s.WriteUint64(trace_id_);
   s.WriteString(baggage_.Serialize());

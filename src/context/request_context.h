@@ -2,6 +2,12 @@
 // (paper §6.2 "typically, this is stored in a pre-existing (thread-local)
 // request context"). The RPC layer and the queue/pub-sub consumers install a
 // context before running a handler and serialize it into outgoing messages.
+//
+// One baggage entry — the Antipode lineage — also has a live, typed form: the
+// native slot (DESIGN.md §14). LineageApi mutates the object in place, and
+// the string entry is re-encoded only when the context is serialized for the
+// next hop. A callee's returned baggage is folded back with MergeBaggage: the
+// native entry is unioned through the slot, every other key is overwritten.
 
 #ifndef SRC_CONTEXT_REQUEST_CONTEXT_H_
 #define SRC_CONTEXT_REQUEST_CONTEXT_H_
@@ -28,37 +34,47 @@ class RequestContext {
 
   // --- Native baggage slot ----------------------------------------------
   //
-  // One baggage entry may be shadowed by a live, typed object (DESIGN.md
-  // §14). Hot-path mutators — LineageApi::Append on a deep call graph runs
-  // once per stateful call — then update the object in place instead of
-  // paying a deserialize→mutate→re-serialize cycle against the string entry
-  // on every call. The string entry is refreshed lazily: `dirty` means the
-  // object is newer, and FlushNativeSlot re-encodes it at the points where
-  // the string form actually matters (context serialization at a hop, or a
-  // generic entry-wise baggage read).
-  //
-  // The object is held by shared_ptr and treated as copy-on-write: copying a
-  // context copies one pointer, and a mutator must clone the object first
-  // when it is shared (use_count > 1). The context layer stays ignorant of
-  // the payload type — the owner supplies a serialize thunk.
-  struct NativeSlot {
+  // The type-erased operations of the one baggage entry that has a native
+  // form. The context layer stays ignorant of the payload type; the owner
+  // (src/antipode/lineage_api.cc) supplies these thunks. The object is held
+  // by shared_ptr and treated as copy-on-write: copying a context copies one
+  // pointer, and the context clones the object before handing it out for
+  // mutation while another copy shares it.
+  struct NativeSlotOps {
     std::string_view key;  // baggage key the object shadows (static storage)
-    std::shared_ptr<void> object;
-    void (*serialize)(const void* object, std::string& out) = nullptr;
-    bool dirty = false;  // object newer than the baggage entry
+    // A fresh object decoded from a baggage value; nullptr when malformed.
+    std::shared_ptr<void> (*decode)(std::string_view blob);
+    std::shared_ptr<void> (*clone)(const void* object);
+    void (*encode)(const void* object, std::string& out);
+    // Folds a callee's serialized value into `object`; a malformed value
+    // leaves it unchanged.
+    void (*merge)(void* object, std::string_view incoming);
   };
 
-  NativeSlot& native_slot() { return native_slot_; }
-  const NativeSlot& native_slot() const { return native_slot_; }
+  // Binds the process's native slot type. Called once, during static
+  // initialization, by the slot's owner. Until then every baggage entry is a
+  // plain string.
+  static void BindNativeSlot(const NativeSlotOps& ops);
 
-  // Writes a dirty native object back into its baggage entry; no-op
-  // otherwise. Serialize() calls this, as must anything reading baggage
-  // entries generically while a slot may be live (see MergeInto).
-  void FlushNativeSlot();
+  // The native object, decoded from its baggage entry on first access (one
+  // decode per hop instead of one per read). nullptr when the entry is absent
+  // or malformed.
+  const void* NativeObject();
 
-  // Drops the native object, e.g. after an out-of-band write to its baggage
-  // key made it stale. The baggage entry (if any) becomes authoritative.
-  void ClearNativeSlot() { native_slot_ = NativeSlot{}; }
+  // NativeObject, uniquely owned for in-place mutation; marks it newer than
+  // the baggage entry.
+  void* MutableNativeObject();
+
+  // Replaces the native value; `object` must be of the bound slot type.
+  void SetNativeObject(std::shared_ptr<void> object);
+
+  // Drops the native value: both the object and its baggage entry.
+  void EraseNativeObject();
+
+  // Folds a callee's returned baggage into this context: the native entry is
+  // merged into the object (built from this context's entry first when
+  // needed), every other key is overwritten.
+  void MergeBaggage(const Baggage& incoming);
 
   // --- Thread-local accessors -------------------------------------------
 
@@ -69,16 +85,20 @@ class RequestContext {
   // string when no context is installed.
   static std::string SerializeCurrent();
 
-  // Non-const: flushes a dirty native slot into the baggage first.
+  // Non-const: re-encodes a mutated native object into its baggage entry
+  // first.
   std::string Serialize();
   static RequestContext Deserialize(std::string_view data);
 
  private:
   friend class ScopedContext;
 
+  void FlushNativeObject();
+
   uint64_t trace_id_ = 0;
   Baggage baggage_;
-  NativeSlot native_slot_;
+  std::shared_ptr<void> native_object_;
+  bool native_dirty_ = false;  // object newer than the baggage entry
 };
 
 // RAII installation of a RequestContext on the current thread. Contexts nest;

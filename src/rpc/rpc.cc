@@ -287,8 +287,7 @@ Result<std::string> RpcClient::CallOnce(const RpcRoute& route, const std::string
   // lineage updates made inside the callee become visible here.
   RequestContext* current = RequestContext::Current();
   if (current != nullptr && !out.context_blob.empty()) {
-    const RequestContext remote = RequestContext::Deserialize(out.context_blob);
-    BaggageMergerRegistry::Instance().MergeInto(*current, remote.baggage());
+    current->MergeBaggage(RequestContext::Deserialize(out.context_blob).baggage());
   }
   return out.result;
 }
@@ -354,7 +353,7 @@ Result<std::string> RpcClient::Call(const RpcRoute& route, const std::string& pa
   }
 
   // The handler's span context must not leak back as the caller's current
-  // span (unregistered mergers copy baggage keys wholesale).
+  // span (the response merge overwrites every non-lineage baggage key).
   if (span.recording()) {
     SetCurrentSpanContext(span.context());
   }

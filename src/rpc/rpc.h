@@ -8,8 +8,8 @@
 //   3. runs the handler under a ScopedContext built from the request,
 //   4. sleeps the return one-way delay,
 //   5. folds the handler's final baggage back into the caller's context
-//      (using registered mergers — this is how updated lineages flow back in
-//      RPC responses, paper Fig. 4 step ③).
+//      (RequestContext::MergeBaggage unions the lineage — this is how updated
+//      lineages flow back in RPC responses, paper Fig. 4 step ③).
 
 #ifndef SRC_RPC_RPC_H_
 #define SRC_RPC_RPC_H_
@@ -25,7 +25,6 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
-#include "src/context/merge.h"
 #include "src/context/request_context.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/network.h"

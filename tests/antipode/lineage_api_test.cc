@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/context/merge.h"
 #include "src/context/request_context.h"
+#include "src/obs/trace.h"
 
 namespace antipode {
 namespace {
@@ -104,7 +104,6 @@ TEST(LineageApiTest, LineageSurvivesContextSerialization) {
 }
 
 TEST(LineageApiTest, MergerUnionsLineagesAcrossContexts) {
-  LineageApi::EnsureMergerRegistered();
   ScopedContext scoped(RequestContext(1));
   LineageApi::Root();
   LineageApi::Append(Id("caller-dep"));
@@ -113,11 +112,38 @@ TEST(LineageApiTest, MergerUnionsLineagesAcrossContexts) {
   remote.Append(Id("callee-dep"));
   Baggage incoming;
   incoming.Set(kLineageBaggageKey, remote.Serialize());
-  BaggageMergerRegistry::Instance().MergeInto(*RequestContext::Current(), incoming);
+  RequestContext::Current()->MergeBaggage(incoming);
 
   auto current = LineageApi::Current();
   EXPECT_TRUE(current->Contains(Id("caller-dep")));
   EXPECT_TRUE(current->Contains(Id("callee-dep")));
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+// Pins the context wire format: a fixed lineage and span context must
+// serialize to exactly these bytes.
+TEST(LineageApiTest, ContextSerializationIsByteStable) {
+  ScopedContext scoped(RequestContext(0x1234));
+  Lineage lineage(77);
+  lineage.Append(
+      WriteId{"post-storage", "post/1", 3, RegionBit(Region::kUs) | RegionBit(Region::kEu)});
+  lineage.Append(WriteId{"notif", "n/9", 300});
+  LineageApi::Install(lineage);
+  LineageApi::Append(WriteId{"post-storage", "post/2", 4});
+  SetCurrentSpanContext(SpanContext{0xabcdef, 0x42});
+  EXPECT_EQ(Hex(RequestContext::SerializeCurrent()),
+            "3412000000000000680310616e7469706f64652d6c696e65616765324d02056e6f7469660c706f7374"
+            "2d73746f726167650300036e2f39ac020f0106706f73742f3103030106706f73742f32040f0b6f62"
+            "732d7370616e2d69640234320c6f62732d74726163652d696406616263646566");
 }
 
 TEST(LineageApiTest, NestedContextsHaveIndependentLineages) {

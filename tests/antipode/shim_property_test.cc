@@ -225,6 +225,10 @@ struct ShimCase {
   AdapterFactory make;
 };
 
+// Names the case by its label: the ctest id reads `.../kv`, not a byte dump
+// of the struct (which holds pointers and so changed on every run).
+void PrintTo(const ShimCase& c, std::ostream* os) { *os << c.label; }
+
 class ShimPropertyTest : public ::testing::TestWithParam<ShimCase> {
  protected:
   void SetUp() override {
@@ -320,8 +324,7 @@ INSTANTIATE_TEST_SUITE_P(
                  }},
         ShimCase{"dynamo", [](const std::string& n) -> std::unique_ptr<ShimAdapter> {
                    return std::make_unique<DynamoAdapter>(n);
-                 }}),
-    [](const ::testing::TestParamInfo<ShimCase>& info) { return info.param.label; });
+                 }}));
 
 }  // namespace
 }  // namespace antipode

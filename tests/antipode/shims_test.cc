@@ -92,17 +92,6 @@ TEST_F(ShimsTest, KvWaitTimesOut) {
             StatusCode::kDeadlineExceeded);
 }
 
-TEST_F(ShimsTest, WaitLineageFiltersByStore) {
-  KvStore store(KvStore::DefaultOptions("kvs7", kRegions));
-  KvShim shim(&store);
-  Lineage lineage = shim.Write(Region::kUs, "k", "v", Lineage(1));
-  lineage.Append(WriteId{"unrelated-store", "x", 99});
-  // Only kvs7 deps are enforced; the unrelated store's id is ignored here.
-  EXPECT_TRUE(shim.WaitLineage(Region::kUs, lineage,
-                               LineageWaitOptions{.wait = {.timeout = std::chrono::seconds(1)}})
-                  .ok());
-}
-
 // ---- SqlShim ----------------------------------------------------------------
 
 TEST_F(ShimsTest, SqlShimStripsLineageColumnOnRead) {

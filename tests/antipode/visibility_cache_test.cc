@@ -13,8 +13,6 @@
 
 #include "src/antipode/barrier.h"
 #include "src/antipode/kv_shim.h"
-#include "src/antipode/lineage_api.h"
-#include "src/context/request_context.h"
 #include "src/obs/metrics.h"
 #include "src/store/kv_store.h"
 
@@ -211,21 +209,6 @@ TEST_F(VisibilityCacheTest, BarrierCacheOffMatchesBaselineSemantics) {
   EXPECT_EQ(CounterValue("barrier.zero_wait"), zero_wait_before);  // cache bypassed
 }
 
-TEST_F(VisibilityCacheTest, SequentialBarrierUsesCacheToo) {
-  KvStore store(SlowKv("vc-seq", 30.0));
-  KvShim shim(&store);
-  ShimRegistry registry;
-  registry.Register(&shim);
-  Lineage lineage = shim.Write(Region::kUs, "k", "v", Lineage(1));
-  store.DrainReplication();
-  const uint64_t zero_wait_before = CounterValue("barrier.zero_wait");
-  EXPECT_TRUE(Barrier(lineage, Region::kEu,
-                      BarrierOptions{.registry = &registry,
-                                     .wait_mode = BarrierWaitMode::kSequential})
-                  .ok());
-  EXPECT_EQ(CounterValue("barrier.zero_wait"), zero_wait_before + 1);
-}
-
 TEST_F(VisibilityCacheTest, DryRunWarmVsCold) {
   KvStore store(SlowKv("vc-dry", 60.0));
   KvShim shim(&store);
@@ -334,24 +317,6 @@ TEST_F(VisibilityCacheTest, PruneDropsOnlyVisibleEverywhereDeps) {
   EXPECT_LT(lineage.WireSize(), wire_before);
   // Idempotent: nothing more to prune.
   EXPECT_EQ(lineage.PruneVisibleEverywhere(cache), 0u);
-}
-
-TEST_F(VisibilityCacheTest, PruneOnInstallShedsBaggage) {
-  KvStore store(SlowKv("vc-prune-install", 5.0));
-  KvShim shim(&store);
-  ScopedContext scoped(RequestContext(1));
-  LineageApi::Root();
-  shim.WriteCtx(Region::kUs, "k", "v");
-  store.DrainReplication();
-
-  const bool was = LineageApi::SetPruneOnInstall(true);
-  LineageApi::Append(WriteId{"some-other-store", "x", 1});  // triggers Install
-  LineageApi::SetPruneOnInstall(was);
-
-  auto lineage = LineageApi::Current();
-  ASSERT_TRUE(lineage.has_value());
-  EXPECT_FALSE(lineage->Contains(WriteId{"vc-prune-install", "k", 1}));  // pruned
-  EXPECT_TRUE(lineage->Contains(WriteId{"some-other-store", "x", 1}));
 }
 
 // --- Stress: cache population races barrier lookups (run under TSan) -------

@@ -29,6 +29,12 @@ struct XcyParam {
   int writes_per_request;
 };
 
+// Readable, build-stable ctest ids (e.g. `.../lag80ms_stores2_writes4`).
+void PrintTo(const XcyParam& p, std::ostream* os) {
+  *os << "lag" << p.replication_median_millis << "ms_stores" << p.num_stores << "_writes"
+      << p.writes_per_request;
+}
+
 class XcyPropertyTest : public ::testing::TestWithParam<XcyParam> {
  protected:
   void SetUp() override { TimeScale::Set(0.005); }

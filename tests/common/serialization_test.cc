@@ -68,6 +68,22 @@ TEST(SerializationTest, TruncatedStringFails) {
   EXPECT_FALSE(d.ReadString().ok());
 }
 
+// A varint length near 2^64 must not wrap the bounds check: the read fails
+// and the cursor does not move.
+TEST(SerializationTest, HugeStringLengthIsRejected) {
+  Serializer s;
+  s.WriteVarint(~uint64_t{0});
+  s.WriteUint8('a');
+  s.WriteUint8('b');
+  s.WriteUint8('c');
+  Deserializer d(s.data());
+  const size_t before = d.Remaining();
+  auto v = d.ReadString();
+  EXPECT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(d.Remaining(), before);
+}
+
 TEST(SerializationTest, TruncatedVarintFails) {
   std::string bad("\xFF\xFF", 2);  // continuation bits with no terminator
   Deserializer d(bad);

@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "src/context/baggage.h"
-#include "src/context/merge.h"
 #include "src/context/request_context.h"
 
 namespace antipode {
@@ -102,30 +101,8 @@ TEST(MergeTest, DefaultPolicyOverwrites) {
   RequestContext::Current()->baggage().Set("plain", "old");
   Baggage incoming;
   incoming.Set("plain", "new");
-  BaggageMergerRegistry::Instance().MergeInto(*RequestContext::Current(), incoming);
+  RequestContext::Current()->MergeBaggage(incoming);
   EXPECT_EQ(RequestContext::Current()->baggage().Get("plain"), "new");
-}
-
-TEST(MergeTest, RegisteredMergerCombines) {
-  BaggageMergerRegistry::Instance().Register(
-      "merge-test-concat",
-      [](const std::string& a, const std::string& b) { return a + "+" + b; });
-  ScopedContext scoped(RequestContext(1));
-  RequestContext::Current()->baggage().Set("merge-test-concat", "left");
-  Baggage incoming;
-  incoming.Set("merge-test-concat", "right");
-  BaggageMergerRegistry::Instance().MergeInto(*RequestContext::Current(), incoming);
-  EXPECT_EQ(RequestContext::Current()->baggage().Get("merge-test-concat"), "left+right");
-}
-
-TEST(MergeTest, MergerNotAppliedWhenKeyAbsentInTarget) {
-  BaggageMergerRegistry::Instance().Register(
-      "merge-test-once", [](const std::string&, const std::string&) { return "merged"; });
-  ScopedContext scoped(RequestContext(1));
-  Baggage incoming;
-  incoming.Set("merge-test-once", "incoming");
-  BaggageMergerRegistry::Instance().MergeInto(*RequestContext::Current(), incoming);
-  EXPECT_EQ(RequestContext::Current()->baggage().Get("merge-test-once"), "incoming");
 }
 
 }  // namespace

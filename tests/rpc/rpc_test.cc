@@ -130,6 +130,94 @@ TEST_F(RpcTest, LineageUnionWhenBothSidesWrite) {
   EXPECT_TRUE(lineage->Contains(WriteId{"db", "remote", 1}));
 }
 
+// The caller's lineage exists only as a baggage string (it arrived over the
+// wire and no LineageApi call has touched it yet); the response merge must
+// still union the callee's dependencies into it rather than overwrite it.
+TEST_F(RpcTest, MergeUnionsStringOnlyCallerLineage) {
+  RpcService* svc = registry_.RegisterService("str-callee", Region::kUs, 1);
+  svc->RegisterMethod("write", [](const std::string&) {
+    LineageApi::Append(WriteId{"db", "callee", 2});
+    return Result<std::string>(std::string("ok"));
+  });
+  Lineage caller(21);
+  caller.Append(WriteId{"db", "caller", 1});
+  RequestContext context(15);
+  context.baggage().Set(kLineageBaggageKey, caller.Serialize());
+  ScopedContext scoped(std::move(context));
+  RpcClient client(&registry_, Region::kUs);
+  ASSERT_TRUE(client.Call("str-callee", "write", "").ok());
+
+  // Judge the wire form the caller would send on its next hop.
+  const RequestContext sent = RequestContext::Deserialize(RequestContext::SerializeCurrent());
+  const std::string* blob = sent.baggage().Find(kLineageBaggageKey);
+  ASSERT_NE(blob, nullptr);
+  auto lineage = Lineage::Deserialize(*blob);
+  ASSERT_TRUE(lineage.ok());
+  EXPECT_EQ(lineage->id(), 21u);
+  EXPECT_EQ(lineage->Size(), 2u);
+  EXPECT_TRUE(lineage->Contains(WriteId{"db", "caller", 1}));
+  EXPECT_TRUE(lineage->Contains(WriteId{"db", "callee", 2}));
+}
+
+// A handler that calls two services in sequence accumulates both callees'
+// dependencies, and the context it sends on its next hop carries them.
+TEST_F(RpcTest, MergeAccumulatesSequentialCallsInHandler) {
+  for (const char* leaf : {"leaf-a", "leaf-b"}) {
+    RpcService* svc = registry_.RegisterService(leaf, Region::kUs, 1);
+    svc->RegisterMethod("write", [leaf](const std::string&) {
+      LineageApi::Append(WriteId{"db", leaf, 1});
+      return Result<std::string>(std::string("ok"));
+    });
+  }
+  // Reports the dependency keys of the lineage it was called with.
+  RpcService* probe = registry_.RegisterService("probe", Region::kUs, 1);
+  probe->RegisterMethod("deps", [](const std::string&) {
+    std::string keys;
+    for (const WriteId& dep : LineageApi::Current().value_or(Lineage()).deps()) {
+      keys += dep.key + ",";
+    }
+    return Result<std::string>(keys);
+  });
+  RpcService* middle = registry_.RegisterService("middle", Region::kUs, 1);
+  middle->RegisterMethod("fan", [this](const std::string&) {
+    RpcClient client(&registry_, Region::kUs);
+    if (!client.Call("leaf-a", "write", "").ok() || !client.Call("leaf-b", "write", "").ok()) {
+      return Result<std::string>(Status::Internal("leaf call failed"));
+    }
+    return client.Call("probe", "deps", "");
+  });
+
+  ScopedContext scoped(RequestContext(16));
+  LineageApi::Root();
+  LineageApi::Append(WriteId{"db", "root", 1});
+  RpcClient client(&registry_, Region::kUs);
+  auto seen_by_probe = client.Call("middle", "fan", "");
+  ASSERT_TRUE(seen_by_probe.ok());
+  EXPECT_EQ(*seen_by_probe, "leaf-a,leaf-b,root,");
+  auto lineage = LineageApi::Current();
+  ASSERT_TRUE(lineage.has_value());
+  EXPECT_EQ(lineage->Size(), 3u);
+  EXPECT_TRUE(lineage->Contains(WriteId{"db", "leaf-a", 1}));
+  EXPECT_TRUE(lineage->Contains(WriteId{"db", "leaf-b", 1}));
+}
+
+// Baggage keys other than the lineage are overwritten by the callee's value.
+TEST_F(RpcTest, MergeOverwritesNonLineageKey) {
+  RpcService* svc = registry_.RegisterService("overwrite", Region::kUs, 1);
+  svc->RegisterMethod("tag", [](const std::string&) {
+    RequestContext::Current()->baggage().Set("note", "callee");
+    LineageApi::Append(WriteId{"db", "callee", 1});
+    return Result<std::string>(std::string("ok"));
+  });
+  ScopedContext scoped(RequestContext(17));
+  LineageApi::Root();
+  RequestContext::Current()->baggage().Set("note", "caller");
+  RpcClient client(&registry_, Region::kUs);
+  ASSERT_TRUE(client.Call("overwrite", "tag", "").ok());
+  EXPECT_EQ(RequestContext::Current()->baggage().Get("note"), "callee");
+  EXPECT_TRUE(LineageApi::Current()->Contains(WriteId{"db", "callee", 1}));
+}
+
 TEST_F(RpcTest, CastDeliversAsynchronously) {
   RpcService* svc = registry_.RegisterService("async", Region::kUs, 1);
   std::atomic<bool> ran{false};
