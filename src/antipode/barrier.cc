@@ -1,8 +1,6 @@
 #include "src/antipode/barrier.h"
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "src/antipode/enforcement_internal.h"
@@ -36,59 +34,31 @@ Status DryRunStatus(const Lineage& lineage, Region region, const BarrierOptions&
   return Status::FailedPrecondition(std::move(detail));
 }
 
-// Blocking core shared by Barrier/BarrierGlobal: latches on the backend's
+// Blocking core shared by Barrier/BarrierGlobal: waits on the backend's
 // completion, then records the enforcement memo when the backend proved it
-// sound.
+// sound. Backends bound their own completion by the deadline, so the wait
+// itself is unbounded; only a quiescent simulation can leave it unset, which
+// is a genuine enforcement deadlock and is surfaced as such.
 Status RunBlocking(EnforcementBackend& backend, const Lineage& lineage,
                    const std::vector<Region>& regions, const BarrierOptions& options) {
-  const TimePoint deadline = options.EffectiveDeadline();
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::Ok();
-  };
-  auto latch = std::make_shared<Latch>();
+  auto done = std::make_shared<Completion<Status>>();
   bool memoizable = false;
   Status launched = backend.Launch(
-      lineage, regions, deadline, options,
-      [latch](Status status) {
-        {
-          std::lock_guard<std::mutex> lock(latch->mu);
-          latch->status = std::move(status);
-          latch->done = true;
-        }
-        latch->cv.notify_one();
-      },
-      &memoizable);
+      lineage, regions, options.EffectiveDeadline(), options,
+      [done](Status status) { done->Set(std::move(status)); }, &memoizable);
   if (!launched.ok()) {
     return launched;
   }
-  if (SimScheduler* sim = SimScheduler::Active()) {
-    // Cooperative latch: pump the simulation until the backend completes.
-    // Backends bound their own completion by `deadline`, so an unbounded pump
-    // here terminates whenever the threaded path would; a quiescent heap with
-    // no completion is a genuine enforcement deadlock, surfaced as such.
-    const bool completed = sim->RunUntil(
-        [latch] {
-          std::lock_guard<std::mutex> lock(latch->mu);
-          return latch->done;
-        },
-        TimePoint::max());
-    if (!completed) {
-      return Status::DeadlineExceeded("barrier never completed (simulation quiescent)");
-    }
-  } else {
-    std::unique_lock<std::mutex> lock(latch->mu);
-    latch->cv.wait(lock, [&] { return latch->done; });
+  if (!done->WaitUntil(TimePoint::max())) {
+    return Status::DeadlineExceeded("barrier never completed (simulation quiescent)");
   }
-  std::lock_guard<std::mutex> status_lock(latch->mu);
-  if (latch->status.ok() && memoizable && options.use_cache) {
+  Status status = done->Take();
+  if (status.ok() && memoizable && options.use_cache) {
     for (Region region : regions) {
       lineage.MarkEnforced(region);
     }
   }
-  return latch->status;
+  return status;
 }
 
 EnforcementBackend& DispatchBackend(const BarrierOptions& options) {

@@ -30,7 +30,9 @@
 
 namespace antipode {
 
-// Blocks until all of `lineage`'s dependencies are visible at `region`.
+// Blocks until all of `lineage`'s dependencies are visible at `region`. The
+// wait is a `Completion` (src/common/sim.h): in simulation it pumps virtual
+// time until the backend completes instead of parking the thread.
 Status Barrier(const Lineage& lineage, Region region, const BarrierOptions& options = {});
 
 // Barrier on the current request context's lineage (no-op when none).

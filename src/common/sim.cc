@@ -133,6 +133,26 @@ uint64_t SimScheduler::ExecutorAffinity(const void* key) {
   return token;
 }
 
+bool BlockUntil(std::mutex& mu, std::condition_variable& cv, TimePoint deadline,
+                const std::function<bool()>& pred) {
+  if (SimScheduler* sim = SimScheduler::Active()) {
+    // The lock is held only for each predicate check, never across the
+    // events RunUntil executes, so an event may take `mu` to satisfy it.
+    return sim->RunUntil(
+        [&] {
+          std::lock_guard<std::mutex> lock(mu);
+          return pred();
+        },
+        deadline);
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  if (deadline == TimePoint::max()) {
+    cv.wait(lock, pred);
+    return true;
+  }
+  return cv.wait_until(lock, deadline, pred);
+}
+
 ScopedSimMode::ScopedSimMode(uint64_t seed)
     : scheduler_(seed),
       clock_(&scheduler_),

@@ -19,20 +19,26 @@
 // `TraceHash()` folds every executed event's (relative time, tie, sequence)
 // into one value so replays can be compared byte-for-byte cheaply.
 //
-// Blocking in simulation is cooperative: a wait path that would park on a
-// condition variable instead calls `RunUntil(pred, deadline)`, which pumps
-// events (reentrantly — an event's callback may itself block and pump) until
-// the predicate holds or virtual time reaches the deadline. A quiescent heap
-// with an unsatisfied predicate and no deadline is a genuine deadlock and is
-// reported as such by returning false without advancing time.
+// Blocking in simulation is cooperative: the blocking waits (barrier, store
+// wait, replication drain, RPC response) go through `BlockUntil` or the
+// one-shot `Completion` built on it, which parks on a condition variable in
+// real time but under an active scheduler calls `RunUntil(pred, deadline)`
+// instead. That pumps events (reentrantly — an event's callback may itself
+// block and pump) until the predicate holds or virtual time reaches the
+// deadline. A quiescent heap with an unsatisfied predicate and no deadline is
+// a genuine deadlock and is reported as such by returning false without
+// advancing time.
 
 #ifndef SRC_COMMON_SIM_H_
 #define SRC_COMMON_SIM_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -57,7 +63,7 @@ class SimScheduler {
   SimScheduler& operator=(const SimScheduler&) = delete;
 
   // The process-wide active scheduler, or nullptr outside sim mode. Engines
-  // (TimerService, ThreadPool, blocking waits) test this to decide whether to
+  // (TimerService, ThreadPool, BlockUntil) test this to decide whether to
   // post events or use real threads. Installed by ScopedSimMode.
   static SimScheduler* Active();
 
@@ -189,6 +195,54 @@ class ScopedSimMode {
   SimClock clock_;
   Clock* previous_clock_;
   SimScheduler* previous_active_;
+};
+
+// The one pump-or-park wait: blocks until `pred()` holds or `deadline`
+// passes, and returns whether `pred()` holds. Under an active SimScheduler it
+// pumps virtual time (`RunUntil`); otherwise it parks on `cv`. `pred` is
+// always evaluated with `mu` held, and whoever makes it true must do so
+// under `mu`, or take `mu` afterwards, before notifying `cv`, so the wakeup
+// cannot be lost. TimePoint::max() means no deadline; a quiescent simulation
+// then returns false (a deadlock).
+bool BlockUntil(std::mutex& mu, std::condition_variable& cv, TimePoint deadline,
+                const std::function<bool()>& pred);
+
+// One-shot result slot for a blocking caller — the barrier latch, a store
+// wait, an RPC response. The first Set wins; WaitUntil blocks via BlockUntil.
+// Set notifies after releasing the lock, so a waiter can return (and drop its
+// reference) before Set is done: a setter on another thread must co-own the
+// completion (shared_ptr).
+template <typename T>
+class Completion {
+ public:
+  // Stores `value` unless one is already set; returns whether it did.
+  bool Set(T value) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (value_.has_value()) {
+        return false;
+      }
+      value_.emplace(std::move(value));
+    }
+    cv_.notify_all();
+    return true;
+  }
+
+  // True once a value is set; false when `deadline` passed first.
+  bool WaitUntil(TimePoint deadline) {
+    return BlockUntil(mu_, cv_, deadline, [this] { return value_.has_value(); });
+  }
+
+  // Moves the value out; only after WaitUntil returned true.
+  T Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(value_).value();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<T> value_;
 };
 
 }  // namespace antipode

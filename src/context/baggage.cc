@@ -22,22 +22,29 @@ std::string Baggage::Serialize() const {
   return s.Release();
 }
 
-Baggage Baggage::Deserialize(std::string_view data) {
-  Baggage baggage;
+std::optional<Baggage> Baggage::TryDeserialize(std::string_view data) {
   Deserializer d(data);
   auto count = d.ReadVarint();
   if (!count.ok()) {
-    return baggage;
+    return std::nullopt;
   }
+  Baggage baggage;
   for (uint64_t i = 0; i < *count; ++i) {
     auto key = d.ReadString();
     auto value = d.ReadString();
     if (!key.ok() || !value.ok()) {
-      break;
+      return std::nullopt;
     }
     baggage.Set(std::move(*key), std::move(*value));
   }
+  if (!d.AtEnd()) {
+    return std::nullopt;
+  }
   return baggage;
+}
+
+Baggage Baggage::Deserialize(std::string_view data) {
+  return TryDeserialize(data).value_or(Baggage());
 }
 
 }  // namespace antipode

@@ -83,6 +83,10 @@ class Baggage {
   size_t WireSize() const;
 
   std::string Serialize() const;
+  // All-or-nothing: a truncated frame, a short entry count or trailing bytes
+  // decode to nullopt (TryDeserialize) or an empty baggage (Deserialize),
+  // never to the prefix that parsed.
+  static std::optional<Baggage> TryDeserialize(std::string_view data);
   static Baggage Deserialize(std::string_view data);
 
  private:

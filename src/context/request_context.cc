@@ -93,17 +93,18 @@ std::string RequestContext::Serialize() {
 }
 
 RequestContext RequestContext::Deserialize(std::string_view data) {
-  RequestContext context;
   Deserializer d(data);
   auto trace_id = d.ReadUint64();
-  if (!trace_id.ok()) {
-    return context;
-  }
-  context.trace_id_ = *trace_id;
   auto baggage_blob = d.ReadString();
-  if (baggage_blob.ok()) {
-    context.baggage_ = Baggage::Deserialize(*baggage_blob);
+  if (!trace_id.ok() || !baggage_blob.ok() || !d.AtEnd()) {
+    return RequestContext();
   }
+  auto baggage = Baggage::TryDeserialize(*baggage_blob);
+  if (!baggage.has_value()) {
+    return RequestContext();
+  }
+  RequestContext context(*trace_id);
+  context.baggage_ = std::move(*baggage);
   return context;
 }
 

@@ -88,6 +88,8 @@ class RequestContext {
   // Non-const: re-encodes a mutated native object into its baggage entry
   // first.
   std::string Serialize();
+  // All-or-nothing, like Baggage::Deserialize: any malformed frame decodes to
+  // an empty context.
   static RequestContext Deserialize(std::string_view data);
 
  private:

@@ -153,16 +153,29 @@ Result<std::string> RpcClient::CallOnce(const RpcRoute& route, const std::string
                                         uint64_t call_id, bool dedup, TimePoint attempt_deadline) {
   RpcService* const target = route.service;
   const std::string& service = target->name();
+  // Everything the handler task touches lives in one block co-owned by this
+  // caller and the task: a deadline-bounded caller may abandon the wait while
+  // the handler still runs (or after its response was dropped), and a route
+  // resolved for one string-addressed call dies with that call, so the block
+  // holds a copy. Capturing only the block keeps the queued task free of a
+  // heap allocation.
+  struct CallState {
+    RpcRoute route;
+    std::string payload;
+    std::string context_blob;
+    uint64_t call_id = 0;
+    bool dedup = false;
+    bool drop_response = false;
+    Completion<RpcServerOutcome> outcome;
+  };
+  auto state = std::make_shared<CallState>();
   // Serialized after the client span is installed (by Call), so the callee
   // sees it as its parent.
-  const std::string context_blob = RequestContext::SerializeCurrent();
-  const size_t request_bytes = payload.size() + context_blob.size();
+  state->context_blob = RequestContext::SerializeCurrent();
+  const size_t request_bytes = payload.size() + state->context_blob.size();
   const Region target_region = target->region();
 
   const RpcFault fault = faults_ == nullptr ? RpcFault{} : faults_->OnRpc(service);
-  // A lost response with no deadline would hang the caller forever; the model
-  // refuses that, so response loss only fires against deadline-bounded calls.
-  const bool drop_response = fault.drop_response && attempt_deadline != TimePoint::max();
 
   // Outbound one-way delay, paid by the (blocking) caller.
   registry_->network()->SleepOneWay(caller_region_, target_region, request_bytes);
@@ -176,102 +189,47 @@ Result<std::string> RpcClient::CallOnce(const RpcRoute& route, const std::string
     return Status::Unavailable("injected rpc failure: " + service + "/" + route.method);
   }
 
-  const RpcHandler* const handler = route.handler;
-  Counter* const dedup_hits = route.dedup_hits;
-  RpcServerOutcome out;
-  if (attempt_deadline == TimePoint::max()) {
-    // No deadline: the caller provably blocks until the handler's outcome is
-    // set, so the promise lives on this stack and the task borrows the
-    // request strings by reference — the dispatch itself allocates only the
-    // queued std::function.
-    std::promise<RpcServerOutcome> outcome;
-    auto future = outcome.get_future();
-    const bool submitted = target->executor().Submit(
-        [&outcome, &payload, &context_blob, &method = route.method, handler, target, call_id,
-         dedup, dedup_hits] {
-          RpcServerOutcome result;
-          if (dedup && target->TryGetCachedOutcome(call_id, &result)) {
-            ANTIPODE_REACHABLE("rpc.dedup_hit");
-            dedup_hits->Increment();
-          } else {
-            result = RunHandler(*handler, payload, context_blob, target->name(), method,
-                                target->region());
-            // Only completed executions are cached: a transient handler error
-            // must be re-attempted, not replayed, by a retry.
-            if (dedup && result.result.ok()) {
-              target->CacheOutcome(call_id, result);
-            }
-          }
-          outcome.set_value(std::move(result));
-        });
-    if (!submitted) {
-      return Status::Unavailable("service shut down: " + service);
-    }
-    if (SimScheduler* sim = SimScheduler::Active()) {
-      // Cooperative wait: pump the simulation until the handler event sets
-      // the promise. A quiescent heap with no outcome means the handler can
-      // never run (executor torn down mid-episode) — surface it instead of
-      // blocking a future that will never be fulfilled.
-      const bool ready = sim->RunUntil(
-          [&future] {
-            return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-          },
-          TimePoint::max());
-      if (!ready) {
-        return Status::Unavailable("rpc response never arrived (simulation quiescent): " +
-                                   service);
+  state->route = route;
+  state->payload = payload;
+  state->call_id = call_id;
+  state->dedup = dedup;
+  // A lost response with no deadline would hang the caller forever; the model
+  // refuses that, so response loss only fires against deadline-bounded calls.
+  state->drop_response = fault.drop_response && attempt_deadline != TimePoint::max();
+  const bool submitted = target->executor().Submit([state] {
+    const RpcRoute& route = state->route;
+    RpcServerOutcome result;
+    if (state->dedup && route.service->TryGetCachedOutcome(state->call_id, &result)) {
+      ANTIPODE_REACHABLE("rpc.dedup_hit");
+      route.dedup_hits->Increment();
+    } else {
+      result = RunHandler(*route.handler, state->payload, state->context_blob,
+                          route.service->name(), route.method, route.service->region());
+      // Only completed executions are cached: a transient handler error
+      // must be re-attempted, not replayed, by a retry.
+      if (state->dedup && result.result.ok()) {
+        route.service->CacheOutcome(state->call_id, result);
       }
-    } else {
-      future.wait();
     }
-    out = future.get();
-  } else {
-    // Deadline-bounded: the caller may abandon the wait while the handler is
-    // still running (or its response was dropped), so the task owns copies of
-    // everything it touches and the promise is heap-shared.
-    auto outcome = std::make_shared<std::promise<RpcServerOutcome>>();
-    auto future = outcome->get_future();
-    const bool submitted = target->executor().Submit(
-        [outcome, payload, context_blob, method = route.method, handler, target, call_id, dedup,
-         drop_response, dedup_hits] {
-          RpcServerOutcome result;
-          if (dedup && target->TryGetCachedOutcome(call_id, &result)) {
-            ANTIPODE_REACHABLE("rpc.dedup_hit");
-            dedup_hits->Increment();
-          } else {
-            result = RunHandler(*handler, payload, context_blob, target->name(), method,
-                                target->region());
-            if (dedup && result.result.ok()) {
-              target->CacheOutcome(call_id, result);
-            }
-          }
-          // A dropped response still executed (and cached) — the promise is
-          // simply never fulfilled, and the caller's deadline fires.
-          if (!drop_response) {
-            outcome->set_value(std::move(result));
-          }
-        });
-    if (!submitted) {
-      return Status::Unavailable("service shut down: " + service);
+    // A dropped response still executed (and cached) — the outcome is simply
+    // never set, and the caller's deadline fires.
+    if (!state->drop_response) {
+      state->outcome.Set(std::move(result));
     }
-    bool ready;
-    if (SimScheduler* sim = SimScheduler::Active()) {
-      // Virtual-time deadline wait: pump events until the promise resolves or
-      // the deadline passes (including the dropped-response case, where the
-      // promise is never fulfilled and the deadline is the only exit).
-      ready = sim->RunUntil(
-          [&future] {
-            return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-          },
-          attempt_deadline);
-    } else {
-      ready = future.wait_until(attempt_deadline) == std::future_status::ready;
-    }
-    if (!ready) {
-      return Status::DeadlineExceeded("rpc deadline exceeded: " + service + "/" + route.method);
-    }
-    out = future.get();
+  });
+  if (!submitted) {
+    return Status::Unavailable("service shut down: " + service);
   }
+  if (!state->outcome.WaitUntil(attempt_deadline)) {
+    if (attempt_deadline == TimePoint::max()) {
+      // Only a quiescent simulation gets here: the handler can never run
+      // (executor torn down mid-episode), so surface it instead of hanging.
+      return Status::Unavailable("rpc response never arrived (simulation quiescent): " +
+                                 service);
+    }
+    return Status::DeadlineExceeded("rpc deadline exceeded: " + service + "/" + route.method);
+  }
+  RpcServerOutcome out = state->outcome.Take();
 
   const size_t response_bytes =
       (out.result.ok() ? out.result.value().size() : 0) + out.context_blob.size();

@@ -5,7 +5,9 @@
 // thread pool pinned to a region. A blocking `RpcClient::Call`:
 //   1. serializes the caller's RequestContext into the request,
 //   2. sleeps one sampled one-way WAN delay toward the callee region,
-//   3. runs the handler under a ScopedContext built from the request,
+//   3. runs the handler under a ScopedContext built from the request, on the
+//      callee's pool, and waits for its outcome on a `Completion`
+//      (src/common/sim.h) — in simulation that wait pumps virtual time,
 //   4. sleeps the return one-way delay,
 //   5. folds the handler's final baggage back into the caller's context
 //      (RequestContext::MergeBaggage unions the lineage — this is how updated
@@ -16,7 +18,6 @@
 
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>

@@ -117,63 +117,25 @@ uint64_t ReplicaTable::VersionOf(const std::string& key) const {
 
 Status ReplicaTable::WaitVersion(const std::string& key, uint64_t version,
                                  TimePoint deadline) const {
-  struct SyncState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::Ok();
-  };
-  auto sync = std::make_shared<SyncState>();
+  auto done = std::make_shared<Completion<Status>>();
   std::shared_ptr<Waiter> waiter =
-      RegisterWaiter(key, version, [sync](Status status) {
-        {
-          std::lock_guard<std::mutex> lock(sync->mu);
-          sync->status = std::move(status);
-          sync->done = true;
-        }
-        sync->cv.notify_one();
-      });
+      RegisterWaiter(key, version, [done](Status status) { done->Set(std::move(status)); });
   if (waiter == nullptr) {
     return Status::Ok();  // already visible
   }
-  if (SimScheduler* sim = SimScheduler::Active()) {
-    // Cooperative wait: pump the event heap until the apply path completes
-    // the waiter or virtual time reaches the deadline — no thread parks in
-    // simulation. The predicate takes sync->mu itself, so nothing is held
-    // across event execution.
-    const auto done = [sync] {
-      std::lock_guard<std::mutex> lock(sync->mu);
-      return sync->done;
-    };
-    if (sim->RunUntil(done, deadline)) {
-      return sync->status;
-    }
-    // Timed out (or the simulation went quiescent with no bound, i.e. the
-    // apply that would satisfy this wait can never happen). Claim the waiter
-    // exactly like the threaded path.
-    if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
-      resident_waiters_->fetch_sub(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded("write not visible before deadline: " + key);
-    }
-    sim->RunUntil(done, TimePoint::max());
-    return sync->status;
+  if (done->WaitUntil(deadline)) {
+    return done->Take();
   }
-  std::unique_lock<std::mutex> lock(sync->mu);
-  if (deadline == TimePoint::max()) {
-    sync->cv.wait(lock, [&] { return sync->done; });
-    return sync->status;
-  }
-  if (sync->cv.wait_until(lock, deadline, [&] { return sync->done; })) {
-    return sync->status;
-  }
-  // Timed out. Claim the waiter so the apply path drops it; losing the claim
-  // means an apply is concurrently delivering success — take that instead.
+  // Timed out (or the simulation went quiescent: the apply that would satisfy
+  // this wait can never happen). Claim the waiter so the apply path drops it;
+  // losing the claim means an apply is concurrently delivering success — wait
+  // for that instead.
   if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
     resident_waiters_->fetch_sub(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("write not visible before deadline: " + key);
   }
-  sync->cv.wait(lock, [&] { return sync->done; });
-  return sync->status;
+  done->WaitUntil(TimePoint::max());
+  return done->Take();
 }
 
 void ReplicaTable::WaitVersionsAsync(std::span<const KeyVersion> items, TimePoint deadline,
@@ -735,22 +697,13 @@ void ReplicatedStore::DrainReplication() const {
   if (inflight_->count.load(std::memory_order_acquire) == 0) {
     return;
   }
-  if (SimScheduler* sim = SimScheduler::Active()) {
-    // Cooperative drain: pump events until every shipment lands. Returning
-    // with inflight remaining means the engine dropped shipments at shutdown
-    // — nothing more can land, so waiting longer would only mask it.
-    auto inflight = inflight_;
-    sim->RunUntil(
-        [inflight] { return inflight->count.load(std::memory_order_acquire) == 0; },
-        TimePoint::max());
-    return;
-  }
-  std::unique_lock<std::mutex> lock(inflight_->mu);
   // No lost wakeup: a shipment that decrements to zero after the predicate
-  // loads a non-zero count must acquire inflight_->mu to notify, which orders
-  // its notify after this wait begins.
-  inflight_->cv.wait(lock,
-                     [&] { return inflight_->count.load(std::memory_order_acquire) == 0; });
+  // loads a non-zero count must acquire inflight_->mu to notify. In
+  // simulation, returning with shipments in flight means the engine dropped
+  // them at shutdown — nothing more can land, so waiting longer would only
+  // mask it.
+  BlockUntil(inflight_->mu, inflight_->cv, TimePoint::max(),
+             [this] { return inflight_->count.load(std::memory_order_acquire) == 0; });
 }
 
 std::optional<StoredEntry> ReplicatedStore::Get(Region region, const std::string& key) const {

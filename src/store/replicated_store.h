@@ -180,7 +180,9 @@ class ReplicaTable {
   uint64_t VersionOf(const std::string& key) const;
 
   // Blocks until VersionOf(key) >= version or the deadline passes. Built on
-  // the waiter registry: the thread is woken only by applies of `key`.
+  // the waiter registry: the thread is woken only by applies of `key`. The
+  // wait is a `Completion` (src/common/sim.h), so in simulation it pumps
+  // virtual time instead of parking.
   Status WaitVersion(const std::string& key, uint64_t version, TimePoint deadline) const;
 
   // Event-driven wait: invokes `cb` exactly once — synchronously when the
@@ -347,8 +349,9 @@ class ReplicatedStore {
   using ApplyHook = std::function<void(Region, const StoredEntry&)>;
   void SetApplyHook(ApplyHook hook) { apply_hook_ = std::move(hook); }
 
-  // Blocks until every scheduled replication apply has fired. Call before
-  // tearing down a deployment: pending timer callbacks reference this store.
+  // Blocks until every scheduled replication apply has fired (in simulation:
+  // pumps virtual time via BlockUntil until they have). Call before tearing
+  // down a deployment: pending timer callbacks reference this store.
   // The destructor drains too, but subclasses with apply hooks must drain
   // while their members are still alive (their destructors call this first).
   void DrainReplication() const;

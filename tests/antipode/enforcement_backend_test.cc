@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,12 @@
 #include "src/store/kv_store.h"
 
 namespace antipode {
+
+// Found by argument-dependent lookup, so it lives in the enum's namespace.
+void PrintTo(EnforcementBackendKind kind, std::ostream* os) {
+  *os << EnforcementBackendKindName(kind);
+}
+
 namespace {
 
 const std::vector<Region> kRegions = {Region::kUs, Region::kEu};
@@ -250,12 +257,11 @@ TEST_P(EnforcementBackendTest, OutOfScopePartitionDoesNotBlock) {
   store.DrainReplication();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EnforcementBackendTest,
-    ::testing::Values(EnforcementBackendKind::kLineage, EnforcementBackendKind::kStableFrontier),
-    [](const ::testing::TestParamInfo<EnforcementBackendKind>& info) {
-      return std::string(EnforcementBackendKindName(info.param));
-    });
+// Ids read `.../lineage` and `.../stable_frontier`: ctest's discovery turns
+// each `/<index>  # GetParam() = <PrintTo>` gtest id into `/<PrintTo>`.
+INSTANTIATE_TEST_SUITE_P(Backends, EnforcementBackendTest,
+                         ::testing::Values(EnforcementBackendKind::kLineage,
+                                           EnforcementBackendKind::kStableFrontier));
 
 // --- strategy selection & metadata (not backend-parameterized) --------------
 

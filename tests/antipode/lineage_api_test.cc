@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/context/request_context.h"
 #include "src/obs/trace.h"
 
@@ -129,6 +131,21 @@ std::string Hex(const std::string& bytes) {
   return out;
 }
 
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+// The context frame ContextSerializationIsByteStable pins: trace id 0x1234,
+// a three-dep lineage and a span context.
+constexpr char kGoldenContextHex[] =
+    "3412000000000000680310616e7469706f64652d6c696e65616765324d02056e6f7469660c706f7374"
+    "2d73746f726167650300036e2f39ac020f0106706f73742f3103030106706f73742f32040f0b6f62"
+    "732d7370616e2d69640234320c6f62732d74726163652d696406616263646566";
+
 // Pins the context wire format: a fixed lineage and span context must
 // serialize to exactly these bytes.
 TEST(LineageApiTest, ContextSerializationIsByteStable) {
@@ -140,10 +157,43 @@ TEST(LineageApiTest, ContextSerializationIsByteStable) {
   LineageApi::Install(lineage);
   LineageApi::Append(WriteId{"post-storage", "post/2", 4});
   SetCurrentSpanContext(SpanContext{0xabcdef, 0x42});
-  EXPECT_EQ(Hex(RequestContext::SerializeCurrent()),
-            "3412000000000000680310616e7469706f64652d6c696e65616765324d02056e6f7469660c706f7374"
-            "2d73746f726167650300036e2f39ac020f0106706f73742f3103030106706f73742f32040f0b6f62"
-            "732d7370616e2d69640234320c6f62732d74726163652d696406616263646566");
+  EXPECT_EQ(Hex(RequestContext::SerializeCurrent()), kGoldenContextHex);
+}
+
+// The context decoders are all-or-nothing: every strict prefix of the golden
+// frame, and the frame with a trailing byte, decodes to an empty context —
+// never to the trace id or baggage entries that happened to parse. The same
+// holds for the baggage blob inside the frame.
+TEST(LineageApiTest, TruncatedContextFramesDecodeEmpty) {
+  const std::string frame = Unhex(kGoldenContextHex);
+  RequestContext full = RequestContext::Deserialize(frame);
+  EXPECT_EQ(full.trace_id(), 0x1234u);
+  EXPECT_EQ(full.baggage().Size(), 3u);
+  EXPECT_EQ(Hex(full.Serialize()), kGoldenContextHex);
+
+  for (size_t len = 0; len < frame.size(); ++len) {
+    SCOPED_TRACE("frame prefix length " + std::to_string(len));
+    const RequestContext cut = RequestContext::Deserialize(frame.substr(0, len));
+    EXPECT_EQ(cut.trace_id(), 0u);
+    EXPECT_TRUE(cut.baggage().Empty());
+  }
+  const RequestContext padded = RequestContext::Deserialize(frame + std::string(1, '\0'));
+  EXPECT_EQ(padded.trace_id(), 0u);
+  EXPECT_TRUE(padded.baggage().Empty());
+
+  // Bytes 0-7 are the trace id, byte 8 the baggage blob's length varint.
+  const std::string blob = frame.substr(9);
+  ASSERT_TRUE(Baggage::TryDeserialize(blob).has_value());
+  for (size_t len = 0; len < blob.size(); ++len) {
+    SCOPED_TRACE("baggage prefix length " + std::to_string(len));
+    EXPECT_FALSE(Baggage::TryDeserialize(blob.substr(0, len)).has_value());
+    EXPECT_TRUE(Baggage::Deserialize(blob.substr(0, len)).Empty());
+  }
+  EXPECT_TRUE(Baggage::Deserialize(blob + std::string(1, '\0')).Empty());
+  // A short entry count: the blob claims four entries but carries three.
+  std::string overcounted = blob;
+  overcounted[0] = 4;
+  EXPECT_TRUE(Baggage::Deserialize(overcounted).Empty());
 }
 
 TEST(LineageApiTest, NestedContextsHaveIndependentLineages) {

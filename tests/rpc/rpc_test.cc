@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/antipode/lineage_api.h"
+#include "src/common/sim.h"
 
 namespace antipode {
 namespace {
@@ -50,7 +51,10 @@ TEST_F(RpcTest, HandlerErrorPropagates) {
   EXPECT_EQ(response.status().message(), "bad input");
 }
 
+// Runs in simulation: both calls' durations are exact virtual time, so the
+// ratio cannot be swamped by scheduling noise on a loaded host.
 TEST_F(RpcTest, CrossRegionCallIsSlowerThanLocal) {
+  ScopedSimMode sim(7);
   RpcService* local = registry_.RegisterService("local", Region::kUs, 1);
   RpcService* remote = registry_.RegisterService("remote", Region::kSg, 1);
   auto noop = [](const std::string&) { return Result<std::string>(std::string()); };
@@ -58,12 +62,12 @@ TEST_F(RpcTest, CrossRegionCallIsSlowerThanLocal) {
   remote->RegisterMethod("m", noop);
   RpcClient client(&registry_, Region::kUs);
 
-  const TimePoint t0 = SystemClock::Instance().Now();
-  client.Call("local", "m", "");
-  const auto local_elapsed = SystemClock::Instance().Now() - t0;
-  const TimePoint t1 = SystemClock::Instance().Now();
-  client.Call("remote", "m", "");
-  const auto remote_elapsed = SystemClock::Instance().Now() - t1;
+  const TimePoint t0 = GlobalClock().Now();
+  ASSERT_TRUE(client.Call("local", "m", "").ok());
+  const auto local_elapsed = GlobalClock().Now() - t0;
+  const TimePoint t1 = GlobalClock().Now();
+  ASSERT_TRUE(client.Call("remote", "m", "").ok());
+  const auto remote_elapsed = GlobalClock().Now() - t1;
   EXPECT_GT(remote_elapsed, local_elapsed * 3);
 }
 
@@ -173,7 +177,8 @@ TEST_F(RpcTest, MergeAccumulatesSequentialCallsInHandler) {
   RpcService* probe = registry_.RegisterService("probe", Region::kUs, 1);
   probe->RegisterMethod("deps", [](const std::string&) {
     std::string keys;
-    for (const WriteId& dep : LineageApi::Current().value_or(Lineage()).deps()) {
+    const Lineage lineage = LineageApi::Current().value_or(Lineage());
+    for (const WriteId& dep : lineage.deps()) {
       keys += dep.key + ",";
     }
     return Result<std::string>(keys);

@@ -8,7 +8,9 @@
 
 #include "src/antipode/barrier.h"
 #include "src/antipode/kv_shim.h"
+#include "src/common/sim.h"
 #include "src/common/thread_pool.h"
+#include "src/common/timer_service.h"
 #include "src/store/kv_store.h"
 #include "src/store/queue_store.h"
 
@@ -119,14 +121,22 @@ TEST_F(FailureInjectionTest, QueueDeliveryResumesAfterStall) {
   pool.Shutdown();
 }
 
+// Runs in simulation on a private deterministic timer engine. The drain
+// before the EU check lands every shipment, so the EU entry is provably
+// buffered by the stall (not merely still in flight) when Resume replays it.
 TEST_F(FailureInjectionTest, StallOnOneRegionDoesNotAffectOthers) {
+  ScopedSimMode sim(7);
+  TimerServiceOptions timer_options;
+  timer_options.deterministic = true;
+  TimerService timers(timer_options);
   auto options = KvStore::DefaultOptions("fi7", {Region::kUs, Region::kEu, Region::kSg});
   options.replication.median_millis = 5.0;
   options.replication.sigma = 0.05;
-  KvStore store(std::move(options));
+  KvStore store(std::move(options), &RegionTopology::Default(), &timers);
   store.fault_injector()->PauseStore(store.name(), Region::kEu);
   store.Set(Region::kUs, "k", "v");
   EXPECT_TRUE(store.WaitVisible(Region::kSg, "k", 1, std::chrono::seconds(5)).ok());
+  store.DrainReplication();
   EXPECT_FALSE(store.IsVisible(Region::kEu, "k", 1));
   store.fault_injector()->ResumeStore(store.name(), Region::kEu);
   EXPECT_TRUE(store.IsVisible(Region::kEu, "k", 1));
