@@ -29,8 +29,8 @@ Result<uint64_t> DocStore::UpdateField(Region region, const std::string& collect
 
 size_t DocStore::CountCollection(Region region, const std::string& collection) const {
   size_t count = 0;
-  for (const auto& entry : replica(region).ScanPrefix(collection + "/")) {
-    if (!entry.bytes.empty()) {
+  for (const EntryHandle& handle : ScanPrefix(region, collection + "/")) {
+    if (!handle.entry().bytes.empty()) {
       ++count;
     }
   }
@@ -40,8 +40,8 @@ size_t DocStore::CountCollection(Region region, const std::string& collection) c
 std::vector<Document> DocStore::FindWhere(Region region, const std::string& collection,
                                           const std::string& field, const Value& value) const {
   std::vector<Document> out;
-  for (const auto& entry : replica(region).ScanPrefix(collection + "/")) {
-    auto doc = Document::Deserialize(entry.bytes);
+  for (const EntryHandle& handle : ScanPrefix(region, collection + "/")) {
+    auto doc = Document::Deserialize(handle.entry().bytes);
     if (!doc.ok()) {
       continue;
     }

@@ -6,9 +6,9 @@ std::vector<std::string> ObjectStore::ListObjects(Region region,
                                                   const std::string& bucket) const {
   std::vector<std::string> keys;
   const std::string prefix = bucket + "/";
-  for (const auto& entry : replica(region).ScanPrefix(prefix)) {
-    if (!entry.bytes.empty()) {
-      keys.push_back(entry.key.substr(prefix.size()));
+  for (const EntryHandle& handle : ScanPrefix(region, prefix)) {
+    if (!handle.entry().bytes.empty()) {
+      keys.push_back(handle.entry().key.substr(prefix.size()));
     }
   }
   return keys;

@@ -20,268 +20,119 @@ ObjectPool<EntryBlock>& EntryBlockPool() {
   return *pool;
 }
 
-ReplicaTable::Shard& ReplicaTable::ShardFor(const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % kNumShards];
-}
-
-std::shared_ptr<ReplicaTable::Waiter> ReplicaTable::RegisterWaiter(const std::string& key,
-                                                                   uint64_t version,
-                                                                   VisibilityCallback&& cb) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end() && it->second.version >= version) {
-    return nullptr;  // already visible — caller completes synchronously, cb stays with caller
-  }
-  auto waiter = std::make_shared<Waiter>();
-  waiter->version = version;
-  waiter->cb = std::move(cb);
-  auto& list = shard.waiters[key];
-  // Lazily drop abandoned waiters (timed-out syncs, expired asyncs) so a key
-  // that is waited on but never written cannot accumulate zombies unboundedly.
-  list.erase(std::remove_if(list.begin(), list.end(),
-                            [](const std::shared_ptr<Waiter>& w) {
-                              return w->fired.load(std::memory_order_acquire);
-                            }),
-             list.end());
-  list.push_back(waiter);
-  resident_waiters_->fetch_add(1, std::memory_order_relaxed);
-  return waiter;
-}
-
-void ReplicaTable::Apply(const StoredEntry& entry) {
-  std::vector<std::shared_ptr<Waiter>> due;
-  {
-    Shard& shard = ShardFor(entry.key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(entry.key);
-    if (it != shard.entries.end() && it->second.version >= entry.version) {
-      // Heal replays and redeliveries are expected to race fresh applies;
-      // the sweep must actually exercise this arm.
-      ANTIPODE_REACHABLE("store.stale_replay_ignored");
-      return;  // stale replay
-    }
-    shard.entries[entry.key] = entry;
-    auto wit = shard.waiters.find(entry.key);
-    if (wit != shard.waiters.end()) {
-      auto& list = wit->second;
-      auto keep = list.begin();
-      for (auto& waiter : list) {
-        if (waiter->fired.load(std::memory_order_acquire)) {
-          continue;  // abandoned; drop it
-        }
-        if (entry.version >= waiter->version &&
-            !waiter->fired.exchange(true, std::memory_order_acq_rel)) {
-          due.push_back(std::move(waiter));
-          continue;
-        }
-        *keep++ = std::move(waiter);
-      }
-      list.erase(keep, list.end());
-      if (list.empty()) {
-        shard.waiters.erase(wit);
-      }
-    }
-  }
-  // Thundering-herd accounting: the old design's table-wide notify_all would
-  // have woken every resident waiter; the registry wakes only `due`.
-  applies_.fetch_add(1, std::memory_order_relaxed);
-  waiters_notified_.fetch_add(due.size(), std::memory_order_relaxed);
-  notify_all_wakeups_.fetch_add(resident_waiters_->load(std::memory_order_relaxed) + due.size(),
-                                std::memory_order_relaxed);
-  resident_waiters_->fetch_sub(due.size(), std::memory_order_relaxed);
-  // Callbacks run outside the shard lock: they may take unrelated locks
-  // (barrier gathers, sync-wait condvars) but must not re-enter this table.
-  for (auto& waiter : due) {
-    ANTIPODE_ALWAYS("store.wait_implies_visible", waiter->version <= entry.version);
-    waiter->cb(Status::Ok());
-  }
-}
-
-std::optional<StoredEntry> ReplicaTable::Get(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    return std::nullopt;
+ReplicatedStore::KeyRecord& ReplicatedStore::RecordFor(Shard& shard, std::string_view key) {
+  auto it = shard.records.find(key);
+  if (it == shard.records.end()) {
+    it = shard.records.emplace(std::string(key), KeyRecord{}).first;
   }
   return it->second;
 }
 
-uint64_t ReplicaTable::VersionOf(const std::string& key) const {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  return it == shard.entries.end() ? 0 : it->second.version;
-}
-
-Status ReplicaTable::WaitVersion(const std::string& key, uint64_t version,
-                                 TimePoint deadline) const {
-  auto done = std::make_shared<Completion<Status>>();
-  std::shared_ptr<Waiter> waiter =
-      RegisterWaiter(key, version, [done](Status status) { done->Set(std::move(status)); });
-  if (waiter == nullptr) {
-    return Status::Ok();  // already visible
+bool ReplicatedStore::InstallLocked(KeyRecord& record, Region region, const EntryHandle& handle,
+                                    std::vector<std::shared_ptr<Waiter>>& due) {
+  const uint64_t version = handle.entry().version;
+  if (record.VersionAt(region) >= version) {
+    // Heal replays and redeliveries are expected to race fresh applies;
+    // the sweep must actually exercise this arm.
+    ANTIPODE_REACHABLE("store.stale_replay_ignored");
+    return false;
   }
-  if (done->WaitUntil(deadline)) {
-    return done->Take();
-  }
-  // Timed out (or the simulation went quiescent: the apply that would satisfy
-  // this wait can never happen). Claim the waiter so the apply path drops it;
-  // losing the claim means an apply is concurrently delivering success — wait
-  // for that instead.
-  if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
-    resident_waiters_->fetch_sub(1, std::memory_order_relaxed);
-    return Status::DeadlineExceeded("write not visible before deadline: " + key);
-  }
-  done->WaitUntil(TimePoint::max());
-  return done->Take();
-}
-
-void ReplicaTable::WaitVersionsAsync(std::span<const KeyVersion> items, TimePoint deadline,
-                                     TimerService* timers, VisibilityCallback cb) const {
-  // Fast path: one read-only pass over the batch. In the steady state every
-  // version has long replicated, so the whole wait completes here without the
-  // gather, the per-item callback allocations, or any waiter registration.
-  // Racing applies are harmless — visibility is monotone, so a version seen
-  // visible here stays visible; a miss just falls through to the slow path,
-  // whose RegisterWaiter re-checks under the same shard lock.
-  {
-    bool all_visible = true;
-    std::string key_buf;
-    for (const KeyVersion& item : items) {
-      key_buf.assign(item.key);
-      Shard& shard = ShardFor(key_buf);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(key_buf);
-      if (it == shard.entries.end() || it->second.version < item.version) {
-        all_visible = false;
-        break;
-      }
+  record.applied[static_cast<size_t>(RegionIndex(region))] = handle;
+  auto keep = record.waiters.begin();
+  for (auto& waiter : record.waiters) {
+    if (waiter->fired.load(std::memory_order_acquire)) {
+      continue;  // abandoned; drop it
     }
-    if (all_visible) {
-      cb(Status::Ok());
-      return;
-    }
-  }
-  // Completion gather shared by every registered waiter plus one launch token
-  // held during registration, so `cb` cannot fire while waiters are still
-  // being added. First error (in practice only DeadlineExceeded) wins.
-  struct BatchGather {
-    std::atomic<size_t> pending{1};
-    std::mutex mu;
-    Status first_error = Status::Ok();
-    VisibilityCallback cb;
-    void Complete(Status status) {
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.ok()) first_error = std::move(status);
-      }
-      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Status final = Status::Ok();
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          final = first_error;
-        }
-        cb(std::move(final));
-      }
-    }
-  };
-  auto gather = std::make_shared<BatchGather>();
-  gather->cb = std::move(cb);
-
-  // Waiters that actually registered share one deadline timer below.
-  std::vector<std::shared_ptr<Waiter>> registered;
-  for (const KeyVersion& item : items) {
-    const std::string key(item.key);
-    gather->pending.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<Waiter> waiter = RegisterWaiter(
-        key, item.version, [gather](Status status) { gather->Complete(std::move(status)); });
-    if (waiter == nullptr) {
-      gather->Complete(Status::Ok());  // already visible
+    if (waiter->region == region && version >= waiter->version &&
+        !waiter->fired.exchange(true, std::memory_order_acq_rel)) {
+      due.push_back(std::move(waiter));
       continue;
     }
-    registered.push_back(std::move(waiter));
+    *keep++ = std::move(waiter);
   }
-
-  if (!registered.empty() && deadline != TimePoint::max() && timers != nullptr) {
-    auto resident = resident_waiters_;
-    auto expire = [gather, resident, registered = std::move(registered)] {
-      for (const auto& waiter : registered) {
-        if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
-          resident->fetch_sub(1, std::memory_order_relaxed);
-          gather->Complete(Status::DeadlineExceeded("write not visible before deadline"));
-        }
-      }
-    };
-    if (!timers->ScheduleAt(deadline, expire)) {
-      // Timer engine already shut down: the deadline can never fire, so
-      // expire the registered waiters now instead of leaking a gather that
-      // would never complete.
-      expire();
-    }
-  }
-  gather->Complete(Status::Ok());  // release the launch token
+  record.waiters.erase(keep, record.waiters.end());
+  return true;
 }
 
-void ReplicaTable::WaitVersionAsync(const std::string& key, uint64_t version, TimePoint deadline,
-                                    TimerService* timers, VisibilityCallback cb) const {
-  std::shared_ptr<Waiter> waiter = RegisterWaiter(key, version, std::move(cb));
-  if (waiter == nullptr) {
-    cb(Status::Ok());  // already visible; RegisterWaiter left cb untouched
-    return;
+void ReplicatedStore::WakeDue(Region region, uint64_t version,
+                              std::vector<std::shared_ptr<Waiter>>& due) const {
+  // Thundering-herd accounting: a per-region notify_all would have woken
+  // every resident waiter of the region; the records wake only `due`.
+  std::atomic<uint64_t>& resident = (*resident_waiters_)[static_cast<size_t>(RegionIndex(region))];
+  applies_.fetch_add(1, std::memory_order_relaxed);
+  waiters_notified_.fetch_add(due.size(), std::memory_order_relaxed);
+  notify_all_wakeups_.fetch_add(resident.load(std::memory_order_relaxed) + due.size(),
+                                std::memory_order_relaxed);
+  resident.fetch_sub(due.size(), std::memory_order_relaxed);
+  for (auto& waiter : due) {
+    ANTIPODE_ALWAYS("store.wait_implies_visible", waiter->version <= version);
+    waiter->cb(Status::Ok());
   }
-  if (deadline == TimePoint::max() || timers == nullptr) {
+}
+
+std::shared_ptr<ReplicatedStore::Waiter> ReplicatedStore::RegisterWaiter(
+    Region region, std::string_view key, uint64_t version, VisibilityCallback&& cb) const {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  KeyRecord& record = RecordFor(shard, key);
+  if (record.VersionAt(region) >= version) {
+    return nullptr;  // already visible — caller completes synchronously, cb stays with caller
+  }
+  auto waiter = std::make_shared<Waiter>();
+  waiter->region = region;
+  waiter->version = version;
+  waiter->cb = std::move(cb);
+  // Lazily drop abandoned waiters (timed-out syncs, expired asyncs) so a key
+  // that is waited on but never written cannot accumulate zombies unboundedly.
+  std::erase_if(record.waiters, [](const std::shared_ptr<Waiter>& w) {
+    return w->fired.load(std::memory_order_acquire);
+  });
+  record.waiters.push_back(waiter);
+  (*resident_waiters_)[static_cast<size_t>(RegionIndex(region))].fetch_add(
+      1, std::memory_order_relaxed);
+  return waiter;
+}
+
+void ReplicatedStore::ExpireAt(TimePoint deadline,
+                               std::vector<std::shared_ptr<Waiter>> waiters) const {
+  if (waiters.empty() || deadline == TimePoint::max() || timers_ == nullptr) {
     return;  // unbounded wait: fires only from the apply path
   }
-  // The timer owns only the waiter and the resident counter (both shared), so
-  // it stays safe even if it outlives this table.
-  auto resident = resident_waiters_;
-  auto expire = [waiter, resident, key] {
-    if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
-      resident->fetch_sub(1, std::memory_order_relaxed);
-      waiter->cb(Status::DeadlineExceeded("write not visible before deadline: " + key));
+  // The timer owns only the waiters and the resident counters (all shared),
+  // so it stays safe even if it outlives this store.
+  auto expire = [resident = resident_waiters_, waiters = std::move(waiters)] {
+    for (const auto& waiter : waiters) {
+      if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
+        (*resident)[static_cast<size_t>(RegionIndex(waiter->region))].fetch_sub(
+            1, std::memory_order_relaxed);
+        waiter->cb(Status::DeadlineExceeded("write not visible before deadline"));
+      }
     }
   };
-  if (!timers->ScheduleAt(deadline, expire)) {
-    // Timer engine already shut down: deliver the deadline outcome inline so
-    // the waiter cannot hang past teardown.
+  if (!timers_->ScheduleAt(deadline, expire)) {
+    // Timer engine already shut down: the deadline can never fire, so expire
+    // the waiters now instead of leaking them.
     expire();
   }
 }
 
-std::vector<StoredEntry> ReplicaTable::ScanPrefix(const std::string& prefix) const {
-  std::vector<StoredEntry> out;
+std::vector<EntryHandle> ReplicatedStore::ScanPrefix(Region region,
+                                                     std::string_view prefix) const {
+  std::vector<EntryHandle> out;
+  const auto ri = static_cast<size_t>(RegionIndex(region));
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.entries.lower_bound(prefix); it != shard.entries.end(); ++it) {
-      if (it->first.compare(0, prefix.size(), prefix) != 0) {
-        break;
+    for (const auto& [key, record] : shard.records) {
+      if (key.starts_with(prefix) && record.applied[ri]) {
+        out.push_back(record.applied[ri]);
       }
-      out.push_back(it->second);
     }
   }
   // Shards partition by hash; restore the global key order scans rely on.
-  std::sort(out.begin(), out.end(),
-            [](const StoredEntry& a, const StoredEntry& b) { return a.key < b.key; });
+  std::sort(out.begin(), out.end(), [](const EntryHandle& a, const EntryHandle& b) {
+    return a.entry().key < b.entry().key;
+  });
   return out;
-}
-
-size_t ReplicaTable::Size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-WakeupStats ReplicaTable::Wakeups() const {
-  WakeupStats stats;
-  stats.applies = applies_.load(std::memory_order_relaxed);
-  stats.waiters_notified = waiters_notified_.load(std::memory_order_relaxed);
-  stats.notify_all_wakeups = notify_all_wakeups_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 namespace {
@@ -308,10 +159,6 @@ ReplicatedStore::ReplicatedStore(ReplicatedStoreOptions options, RegionTopology*
       name_hash_(std::hash<std::string>{}(options_.name)),
       region_mask_(RegionMaskOf(options_.regions)),
       hlc_clock_(&HlcClock::ForGroup(RegionGroupOf(region_mask_))) {
-  replicas_.resize(kNumRegions);
-  for (Region region : options_.regions) {
-    replicas_[static_cast<size_t>(RegionIndex(region))] = std::make_unique<ReplicaTable>();
-  }
   for (Region origin : options_.regions) {
     auto& dests = remote_destinations_[static_cast<size_t>(RegionIndex(origin))];
     for (Region destination : options_.regions) {
@@ -332,28 +179,6 @@ ReplicatedStore::ReplicatedStore(ReplicatedStoreOptions options, RegionTopology*
   }
 }
 
-bool ReplicatedStore::HasRegion(Region region) const {
-  return replicas_[static_cast<size_t>(RegionIndex(region))] != nullptr;
-}
-
-const ReplicaTable& ReplicatedStore::replica(Region region) const {
-  const auto* table = replicas_[static_cast<size_t>(RegionIndex(region))].get();
-  assert(table != nullptr && "store has no replica in this region");
-  return *table;
-}
-
-ReplicaTable& ReplicatedStore::replica(Region region) {
-  auto* table = replicas_[static_cast<size_t>(RegionIndex(region))].get();
-  assert(table != nullptr && "store has no replica in this region");
-  return *table;
-}
-
-uint64_t ReplicatedStore::NextVersion(const std::string& key) {
-  VersionShard& shard = version_shards_[std::hash<std::string>{}(key) % kVersionShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return ++shard.versions[key];
-}
-
 TimerService::AffinityToken ReplicatedStore::ShipmentAffinity(const std::string& key,
                                                               Region destination) const {
   // Golden-ratio scramble keeps ⟨key, us⟩ and ⟨key, eu⟩ on different workers.
@@ -370,17 +195,16 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
   if (Tracer::Default().enabled()) {
     span.emplace(Span::Start("store/put", {.category = "store", .region = origin}));
   }
-  // A warm pooled block instead of make_shared: the recycled entry's key and
-  // bytes strings keep their capacity, so in steady state filling it touches
-  // no heap at all. Shared (immutably) by the local applies and every
-  // destination's shipment lambda; the last handle to drop recycles it.
+  // A warm pooled block instead of make_shared: a recycled entry's key and
+  // bytes strings keep their capacity. Shared (immutably, once published to
+  // the key's record) by the record's slots and every destination's
+  // shipment lambda; the last handle to drop recycles it.
   EntryBlock* block = EntryBlockPool().Acquire();
   block->refs.store(1, std::memory_order_relaxed);
   EntryHandle handle = EntryHandle::Adopt(block);
   StoredEntry& entry = block->entry;
   entry.key.assign(key);
   entry.bytes = std::move(bytes);
-  entry.version = NextVersion(key);
   entry.origin = origin;
   entry.write_time = GlobalClock().Now();
   // Always overwritten (not just when tracing): a recycled block must not
@@ -400,9 +224,6 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
     }
   }
   if (span.has_value() && span->recording()) {
-    span->Annotate("store", options_.name);
-    span->Annotate("key", key);
-    span->Annotate("version", entry.version);
     // Replication shipments inherit the put span, so remote applies land in
     // this trace as its children.
     entry.trace_id = span->context().trace_id;
@@ -412,10 +233,24 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
   metrics_.RecordWrite(entry.bytes.size(),
                        options_.per_write_overhead_bytes + extra_overhead_bytes);
 
-  // Synchronous apply at the origin and at the authority table. Origin
-  // applies bypass the pause gate: the write is local, not replicated.
-  authority_.Apply(entry);
-  replica(origin).Apply(entry);
+  // One critical section assigns the version and publishes the entry as the
+  // key's latest write and its origin apply. Origin applies bypass the pause
+  // gate: the write is local, not replicated.
+  std::vector<std::shared_ptr<Waiter>> due;
+  {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    KeyRecord& record = RecordFor(shard, key);
+    entry.version = ++record.version;
+    record.latest = handle;
+    InstallLocked(record, origin, handle, due);
+  }
+  WakeDue(origin, entry.version, due);
+  if (span.has_value() && span->recording()) {
+    span->Annotate("store", options_.name);
+    span->Annotate("key", key);
+    span->Annotate("version", entry.version);
+  }
   if (visibility_) {
     visibility_->NoteApply(origin, entry.key, entry.version, entry.seq, entry.hlc);
   }
@@ -445,7 +280,7 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
         TimeScale::FromModelMillis(lag_millis), ShipmentAffinity(key, destination),
         [this, destination, lag_millis, h = handle, inflight = inflight_]() mutable {
           RecordReplicationSpan(destination, lag_millis, h.entry());
-          ApplyAt(destination, h.entry());
+          ApplyAt(destination, h);
           h.Reset();
           // Only a decrement that reaches zero touches the drain lock; past
           // it a drainer may destroy the store, so the wakeup goes through
@@ -539,12 +374,13 @@ void ReplicatedStore::RecordReplicationSpan(Region destination, double lag_milli
 // its window closes.
 constexpr double kApplyRetryModelMillis = 5.0;
 
-void ReplicatedStore::ApplyAt(Region region, const StoredEntry& entry) {
+void ReplicatedStore::ApplyAt(Region region, const EntryHandle& handle) {
   FaultInjector* injector = options_.fault_injector;
   if (injector != nullptr) {
+    const StoredEntry& entry = handle.entry();
     const StallDecision stall = injector->StoreStall(options_.name, entry.origin, region);
     if (stall.stalled) {
-      BufferStalled(region, entry, stall);
+      BufferStalled(region, handle, stall);
       return;
     }
     if (injector->InjectApplyError(options_.name, region)) {
@@ -555,26 +391,25 @@ void ReplicatedStore::ApplyAt(Region region, const StoredEntry& entry) {
       MetricsRegistry::Default()
           .GetCounter("store.apply_retries", {{"store", options_.name}})
           ->Increment();
-      auto copy = std::make_shared<const StoredEntry>(entry);
       if (ScheduleStoreWork(TimeScale::FromModelMillis(kApplyRetryModelMillis),
                             ShipmentAffinity(entry.key, region),
-                            [this, region, copy] { ApplyAt(region, *copy); })) {
+                            [this, region, handle] { ApplyAt(region, handle); })) {
         return;
       }
       // Timer service gone (shutdown): fall through and apply inline rather
       // than lose the write.
     }
   }
-  ApplyReplicated(region, entry);
+  ApplyReplicated(region, handle);
 }
 
-void ReplicatedStore::BufferStalled(Region region, const StoredEntry& entry,
+void ReplicatedStore::BufferStalled(Region region, const EntryHandle& handle,
                                     const StallDecision& stall) {
   const auto idx = static_cast<size_t>(RegionIndex(region));
   bool schedule_heal = false;
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
-    stalled_[idx].push_back(entry);
+    stalled_[idx].push_back(handle);
     if (stall_started_[idx] == TimePoint{}) {
       stall_started_[idx] = GlobalClock().Now();
     }
@@ -601,7 +436,7 @@ void ReplicatedStore::BufferStalled(Region region, const StoredEntry& entry,
 
 void ReplicatedStore::ReplayBacklog(Region region) {
   const auto idx = static_cast<size_t>(RegionIndex(region));
-  std::vector<StoredEntry> backlog;
+  std::vector<EntryHandle> backlog;
   TimePoint started;
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
@@ -614,8 +449,8 @@ void ReplicatedStore::ReplayBacklog(Region region) {
   ANTIPODE_SOMETIMES("store.backlog_replayed", !backlog.empty());
   // Replay in arrival order; entries re-buffer (and re-schedule a heal) when
   // the region is still stalled by another rule or a manual pause.
-  for (const StoredEntry& entry : backlog) {
-    ApplyAt(region, entry);
+  for (const EntryHandle& handle : backlog) {
+    ApplyAt(region, handle);
   }
   bool healed;
   {
@@ -634,15 +469,25 @@ void ReplicatedStore::ReplayBacklog(Region region) {
   }
 }
 
-void ReplicatedStore::ApplyReplicated(Region region, const StoredEntry& entry) {
+void ReplicatedStore::ApplyReplicated(Region region, const EntryHandle& handle) {
+  const StoredEntry& entry = handle.entry();
   // The hybrid half of the HLC: fold the remote stamp into the local clock so
   // later local stamps dominate it (a no-op while every replica of one store
   // shares the store's region-group clock, but it keeps the protocol honest).
   if (entry.hlc != 0) {
     hlc_clock_->Observe(entry.hlc);
   }
-  replica(region).Apply(entry);
-  // Unconditional even when the replica apply was a stale replay (a newer
+  std::vector<std::shared_ptr<Waiter>> due;
+  bool installed;
+  {
+    Shard& shard = ShardFor(entry.key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    installed = InstallLocked(RecordFor(shard, entry.key), region, handle, due);
+  }
+  if (installed) {
+    WakeDue(region, entry.version, due);
+  }
+  // Unconditional even when the record apply was a stale replay (a newer
   // version of the key outran this shipment): the watermark needs every
   // ⟨seq, region⟩ exactly once, and NoteApply's per-key max logic already
   // ignores the superseded version.
@@ -707,21 +552,44 @@ void ReplicatedStore::DrainReplication() const {
 }
 
 std::optional<StoredEntry> ReplicatedStore::Get(Region region, const std::string& key) const {
-  auto entry = replica(region).Get(key);
-  const_cast<StoreMetrics&>(metrics_).RecordRead(entry.has_value());
-  return entry;
+  assert(HasRegion(region) && "read at a region without a replica");
+  EntryHandle handle;
+  {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.records.find(key);
+    if (it != shard.records.end()) {
+      handle = it->second.applied[static_cast<size_t>(RegionIndex(region))];
+    }
+  }
+  const_cast<StoreMetrics&>(metrics_).RecordRead(static_cast<bool>(handle));
+  if (!handle) {
+    return std::nullopt;
+  }
+  return handle.entry();
 }
 
 std::optional<StoredEntry> ReplicatedStore::StrongGet(Region caller,
                                                       const std::string& key) const {
-  auto entry = authority_.Get(key);
+  EntryHandle latest;
+  {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.records.find(key);
+    if (it != shard.records.end()) {
+      latest = it->second.latest;
+    }
+  }
   // Pay the WAN round trip to the authoritative copy (the key's origin); a
   // miss still costs the probe.
-  const Region authority_region = entry.has_value() ? entry->origin : caller;
+  const Region authority_region = latest ? latest.entry().origin : caller;
   SimulatedNetwork::Default().SleepRtt(caller, authority_region, 64,
-                                       entry.has_value() ? entry->bytes.size() : 0);
-  const_cast<StoreMetrics&>(metrics_).RecordRead(entry.has_value());
-  return entry;
+                                       latest ? latest.entry().bytes.size() : 0);
+  const_cast<StoreMetrics&>(metrics_).RecordRead(static_cast<bool>(latest));
+  if (!latest) {
+    return std::nullopt;
+  }
+  return latest.entry();
 }
 
 bool ReplicatedStore::IsVisible(Region region, const std::string& key, uint64_t version) const {
@@ -729,17 +597,20 @@ bool ReplicatedStore::IsVisible(Region region, const std::string& key, uint64_t 
   // stale) there, so the write is vacuously "visible" — same contract as
   // WaitFrontierAsync. Keeps unscoped barriers over locality-partitioned
   // deployments defined (wasted work, never an assert).
-  if (!HasRegion(region)) {
-    return true;
-  }
-  return replica(region).VersionOf(key) >= version;
+  return !HasRegion(region) || AppliedVersion(region, key) >= version;
+}
+
+uint64_t ReplicatedStore::AppliedVersion(Region region, std::string_view key) const {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.records.find(key);
+  return it == shard.records.end() ? 0 : it->second.VersionAt(region);
 }
 
 // Injected wait faults surface as retryable Unavailable instead of letting
 // the wait hang or lie about visibility: callers (shims, barriers) propagate
 // the Status and may simply re-issue the wait.
-Status ReplicatedStore::WaitVisible(Region region, const std::string& key, uint64_t version,
-                                    Duration timeout) const {
+std::optional<Status> ReplicatedStore::WaitShortCircuit(Region region) const {
   if (!HasRegion(region)) {
     return Status::Ok();  // vacuous: no replica there (see IsVisible)
   }
@@ -747,11 +618,37 @@ Status ReplicatedStore::WaitVisible(Region region, const std::string& key, uint6
       options_.fault_injector->InjectWaitError(options_.name, region)) {
     return Status::Unavailable("injected wait error: " + options_.name);
   }
-  Status status = replica(region).WaitVersion(key, version, DeadlineAfter(timeout));
+  return std::nullopt;
+}
+
+Status ReplicatedStore::WaitVisible(Region region, const std::string& key, uint64_t version,
+                                    Duration timeout) const {
+  if (std::optional<Status> shortcut = WaitShortCircuit(region)) {
+    return *shortcut;
+  }
+  auto done = std::make_shared<Completion<Status>>();
+  std::shared_ptr<Waiter> waiter = RegisterWaiter(
+      region, key, version, [done](Status status) { done->Set(std::move(status)); });
+  if (waiter == nullptr) {
+    return Status::Ok();  // already visible
+  }
+  if (!done->WaitUntil(DeadlineAfter(timeout))) {
+    // Timed out (or the simulation went quiescent: the apply that would
+    // satisfy this wait can never happen). Claim the waiter so the apply path
+    // drops it; losing the claim means an apply is concurrently delivering
+    // success — wait for that instead.
+    if (!waiter->fired.exchange(true, std::memory_order_acq_rel)) {
+      (*resident_waiters_)[static_cast<size_t>(RegionIndex(region))].fetch_sub(
+          1, std::memory_order_relaxed);
+      return Status::DeadlineExceeded("write not visible before deadline: " + key);
+    }
+    done->WaitUntil(TimePoint::max());
+  }
+  Status status = done->Take();
   if (status.ok() && PropertyRegistry::Instance().deep_checks()) {
     // Cross-validate the wait contract against an independent read of the
-    // replica table: an Ok wait that left the version invisible would be a
-    // lie the barrier layer builds on.
+    // record: an Ok wait that left the version invisible would be a lie the
+    // barrier layer builds on.
     ANTIPODE_ALWAYS("store.wait_implies_visible", IsVisible(region, key, version));
   }
   return status;
@@ -759,43 +656,86 @@ Status ReplicatedStore::WaitVisible(Region region, const std::string& key, uint6
 
 void ReplicatedStore::WaitVisibleAsync(Region region, const std::string& key, uint64_t version,
                                        TimePoint deadline, VisibilityCallback cb) const {
-  if (!HasRegion(region)) {
-    cb(Status::Ok());  // vacuous: no replica there (see IsVisible)
+  if (std::optional<Status> shortcut = WaitShortCircuit(region)) {
+    cb(std::move(*shortcut));
     return;
   }
-  if (options_.fault_injector != nullptr &&
-      options_.fault_injector->InjectWaitError(options_.name, region)) {
-    cb(Status::Unavailable("injected wait error: " + options_.name));
+  std::shared_ptr<Waiter> waiter = RegisterWaiter(region, key, version, std::move(cb));
+  if (waiter == nullptr) {
+    cb(Status::Ok());  // already visible; RegisterWaiter left cb untouched
     return;
   }
-  replica(region).WaitVersionAsync(key, version, deadline, timers_, std::move(cb));
+  if (deadline != TimePoint::max()) {
+    ExpireAt(deadline, {std::move(waiter)});
+  }
 }
 
 void ReplicatedStore::WaitVisibleBatchAsync(Region region, std::span<const KeyVersion> items,
                                             TimePoint deadline, VisibilityCallback cb) const {
-  if (!HasRegion(region)) {
-    cb(Status::Ok());  // vacuous: no replica there (see IsVisible)
+  if (std::optional<Status> shortcut = WaitShortCircuit(region)) {
+    cb(std::move(*shortcut));
     return;
   }
-  if (options_.fault_injector != nullptr &&
-      options_.fault_injector->InjectWaitError(options_.name, region)) {
-    cb(Status::Unavailable("injected wait error: " + options_.name));
+  // Fast path: one read-only pass over the batch. In the steady state every
+  // version has long replicated, so the whole wait completes here without the
+  // gather, the per-item callback allocations, or any waiter registration.
+  // Racing applies are harmless — visibility is monotone, so a version seen
+  // visible here stays visible; a miss just falls through to the slow path,
+  // whose RegisterWaiter re-checks under the same shard lock.
+  if (std::all_of(items.begin(), items.end(), [&](const KeyVersion& item) {
+        return AppliedVersion(region, item.key) >= item.version;
+      })) {
+    cb(Status::Ok());
     return;
   }
-  replica(region).WaitVersionsAsync(items, deadline, timers_, std::move(cb));
+  // Completion gather shared by every registered waiter plus one launch token
+  // held during registration, so `cb` cannot fire while waiters are still
+  // being added. First error (in practice only DeadlineExceeded) wins.
+  struct BatchGather {
+    std::atomic<size_t> pending{1};
+    std::mutex mu;
+    Status first_error = Status::Ok();
+    VisibilityCallback cb;
+    void Complete(Status status) {
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (first_error.ok()) first_error = std::move(status);
+      }
+      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        Status final = Status::Ok();
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          final = first_error;
+        }
+        cb(std::move(final));
+      }
+    }
+  };
+  auto gather = std::make_shared<BatchGather>();
+  gather->cb = std::move(cb);
+
+  // Waiters that actually registered share one deadline timer.
+  std::vector<std::shared_ptr<Waiter>> registered;
+  for (const KeyVersion& item : items) {
+    gather->pending.fetch_add(1, std::memory_order_relaxed);
+    std::shared_ptr<Waiter> waiter =
+        RegisterWaiter(region, item.key, item.version,
+                       [gather](Status status) { gather->Complete(std::move(status)); });
+    if (waiter == nullptr) {
+      gather->Complete(Status::Ok());  // already visible
+      continue;
+    }
+    registered.push_back(std::move(waiter));
+  }
+  ExpireAt(deadline, std::move(registered));
+  gather->Complete(Status::Ok());  // release the launch token
 }
 
 WakeupStats ReplicatedStore::TotalWakeups() const {
   WakeupStats total;
-  for (const auto& table : replicas_) {
-    if (table == nullptr) {
-      continue;
-    }
-    const WakeupStats stats = table->Wakeups();
-    total.applies += stats.applies;
-    total.waiters_notified += stats.waiters_notified;
-    total.notify_all_wakeups += stats.notify_all_wakeups;
-  }
+  total.applies = applies_.load(std::memory_order_relaxed);
+  total.waiters_notified = waiters_notified_.load(std::memory_order_relaxed);
+  total.notify_all_wakeups = notify_all_wakeups_.load(std::memory_order_relaxed);
   return total;
 }
 

@@ -1,25 +1,30 @@
 // The geo-replication engine every concrete datastore builds on.
 //
-// A `ReplicatedStore` keeps one `ReplicaTable` per region. A write lands
-// synchronously at its origin region and is shipped asynchronously to every
-// other replica: the visibility delay is sampled from the store's
-// `ReplicationProfile` and the apply is scheduled on the timer engine with a
-// per-⟨store, key, destination⟩ affinity token, so same-key applies at one
-// region execute serially and in order while everything else parallelizes.
-// Shipments are zero-copy: `Put` allocates the `StoredEntry` once as a
-// `shared_ptr<const StoredEntry>` aliased by every destination's callback
-// (the replica tables copy what they keep), and the entry lives until the
-// last shipment referencing it has applied — callbacks never reach into the
-// store for it, so entry lifetime never races store internals.
-// Versions are monotonically increasing per key (the versioned key-object
-// model the paper assumes, §6.1), so "is ⟨key, version⟩ visible at region r"
-// is a single watermark comparison.
+// A `ReplicatedStore` keeps one record per key (the versioned key-object
+// model the paper assumes, §6.1): the per-key version counter, the latest
+// write (what `StrongGet` reads), one applied slot per region, and the
+// waiters blocked on the key. A write lands synchronously at its origin
+// region and is shipped asynchronously to every other replica: the
+// visibility delay is sampled from the store's `ReplicationProfile` and the
+// apply is scheduled on the timer engine with a per-⟨store, key,
+// destination⟩ affinity token, so same-key applies at one region execute
+// serially and in order while everything else parallelizes.
 //
-// Waiting is event-driven and per-key: each `ReplicaTable` is lock-striped
-// into shards, and every shard keeps a registry of waiters keyed by the key
-// they are blocked on. An apply wakes exactly the waiters of the key that
-// changed — never the whole table — and `WaitVisibleAsync` lets a barrier
-// fan waits out across many stores without parking a thread per dependency.
+// Entries are shared, never copied: `Put` fills one pooled `StoredEntry`
+// block, and the record's latest and applied slots, every destination's
+// shipment callback and any stalled backlog hold 8-byte `EntryHandle`s to
+// it. A block lives until its last handle drops — a shipment that already
+// applied, or a slot overwritten by a newer version — so callbacks never
+// reach into the store for it and entry lifetime never races store
+// internals. Versions are monotonically increasing per key, so "is ⟨key,
+// version⟩ visible at region r" is one comparison against the record's slot
+// for r.
+//
+// The record table is lock-striped into shards, and waiting is event-driven
+// and per-⟨key, region⟩: an apply at region r wakes exactly the waiters of
+// that key registered for r — never the whole table, never another region's
+// — and `WaitVisibleAsync` lets a barrier fan waits out across many stores
+// without parking a thread per dependency.
 
 #ifndef SRC_STORE_REPLICATED_STORE_H_
 #define SRC_STORE_REPLICATED_STORE_H_
@@ -28,7 +33,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -148,7 +152,8 @@ class EntryHandle {
 };
 
 // One ⟨key, version⟩ target of a batched wait. The view must stay valid until
-// the batch call returns (waiters copy the key they register under).
+// the batch call returns (a wait on a key with no record yet creates the
+// record under a copy of the key).
 struct KeyVersion {
   std::string_view key;
   uint64_t version = 0;
@@ -162,92 +167,8 @@ using VisibilityCallback = std::function<void(Status)>;
 struct WakeupStats {
   uint64_t applies = 0;            // applies that stored a new version
   uint64_t waiters_notified = 0;   // waiters actually woken (key matched)
-  uint64_t notify_all_wakeups = 0; // what a table-wide notify_all would have
-                                   // woken: waiters resident at apply time
-};
-
-// One region's copy of the data. Thread-safe; lock-striped by key so hot keys
-// in one shard never serialize readers/writers of another.
-class ReplicaTable {
- public:
-  // Applies an entry if it is newer than what the replica holds, then fires
-  // (outside the shard lock) the callbacks of waiters the entry satisfies.
-  void Apply(const StoredEntry& entry);
-
-  std::optional<StoredEntry> Get(const std::string& key) const;
-
-  // Highest version of `key` applied here (0 when absent).
-  uint64_t VersionOf(const std::string& key) const;
-
-  // Blocks until VersionOf(key) >= version or the deadline passes. Built on
-  // the waiter registry: the thread is woken only by applies of `key`. The
-  // wait is a `Completion` (src/common/sim.h), so in simulation it pumps
-  // virtual time instead of parking.
-  Status WaitVersion(const std::string& key, uint64_t version, TimePoint deadline) const;
-
-  // Event-driven wait: invokes `cb` exactly once — synchronously when the
-  // version is already visible, from the apply path when it becomes visible,
-  // or from a timer (scheduled on `timers`) when the deadline fires first.
-  // No polling, no spurious wakeups. The callback must be short (it may run
-  // on the timer dispatcher thread) and must not re-enter this table.
-  // Waiters must not outlive the table: callers drain their waits (visibility
-  // or deadline) before the owning store is destroyed.
-  void WaitVersionAsync(const std::string& key, uint64_t version, TimePoint deadline,
-                        TimerService* timers, VisibilityCallback cb) const;
-
-  // Batched wait: `cb` fires exactly once, with Ok when every ⟨key, version⟩
-  // in `items` is visible, or DeadlineExceeded when the deadline passes with
-  // any of them outstanding. Already-visible items register no waiter, the
-  // rest share a single deadline timer — so a barrier with N missed deps on
-  // one store costs N registry slots but one timer and one completion, versus
-  // N of each through WaitVersionAsync. An empty batch completes Ok inline.
-  void WaitVersionsAsync(std::span<const KeyVersion> items, TimePoint deadline,
-                         TimerService* timers, VisibilityCallback cb) const;
-
-  // All entries whose key starts with `prefix`, sorted by key (SQL scans).
-  std::vector<StoredEntry> ScanPrefix(const std::string& prefix) const;
-
-  size_t Size() const;
-
-  WakeupStats Wakeups() const;
-  // Waiters currently blocked (sync + async) across all shards.
-  uint64_t ResidentWaiters() const { return resident_waiters_->load(std::memory_order_relaxed); }
-
- private:
-  struct Waiter {
-    uint64_t version = 0;
-    // First claimer (apply, deadline timer, or timed-out sync waiter) wins;
-    // only the winner may invoke `cb` or abandon the waiter.
-    std::atomic<bool> fired{false};
-    VisibilityCallback cb;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, StoredEntry> entries;
-    std::unordered_map<std::string, std::vector<std::shared_ptr<Waiter>>> waiters;
-  };
-
-  // 64-way striping (up from 16): wider than any realistic worker count, so
-  // concurrent applies of different keys essentially never share a stripe.
-  static constexpr size_t kNumShards = 64;
-
-  Shard& ShardFor(const std::string& key) const;
-  // Registers a waiter for ⟨key, version⟩ unless already visible; returns
-  // nullptr in the visible case and leaves `cb` unconsumed (the visibility
-  // check and the registration share the shard lock, so an apply can never
-  // slip between them).
-  std::shared_ptr<Waiter> RegisterWaiter(const std::string& key, uint64_t version,
-                                         VisibilityCallback&& cb) const;
-
-  mutable std::array<Shard, kNumShards> shards_;
-
-  // Shared (not a raw member) so deadline timers can decrement it safely even
-  // if they fire after the table is gone.
-  std::shared_ptr<std::atomic<uint64_t>> resident_waiters_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
-  mutable std::atomic<uint64_t> applies_{0};
-  mutable std::atomic<uint64_t> waiters_notified_{0};
-  mutable std::atomic<uint64_t> notify_all_wakeups_{0};
+  uint64_t notify_all_wakeups = 0; // what a per-region notify_all would have
+                                   // woken: the region's resident waiters
 };
 
 struct ReplicatedStoreOptions {
@@ -308,8 +229,13 @@ class ReplicatedStore {
   void WaitVisibleAsync(Region region, const std::string& key, uint64_t version,
                         TimePoint deadline, VisibilityCallback cb) const;
 
-  // Batched variant over one region's replica; see
-  // ReplicaTable::WaitVersionsAsync for the contract.
+  // Batched variant over one region: `cb` fires exactly once, with Ok when
+  // every ⟨key, version⟩ in `items` is visible, or DeadlineExceeded when the
+  // deadline passes with any of them outstanding. When every item is already
+  // visible (the steady state) it completes inline after one read-only pass,
+  // with no allocation. Otherwise already-visible items register no waiter
+  // and the rest share a single deadline timer and one completion. An empty
+  // batch completes Ok inline.
   void WaitVisibleBatchAsync(Region region, std::span<const KeyVersion> items,
                              TimePoint deadline, VisibilityCallback cb) const;
 
@@ -340,7 +266,7 @@ class ReplicatedStore {
   size_t per_write_overhead_bytes() const { return options_.per_write_overhead_bytes; }
   void set_per_write_overhead_bytes(size_t bytes) { options_.per_write_overhead_bytes = bytes; }
 
-  // Apply-path wakeup accounting summed over the regional replicas.
+  // Apply-path wakeup accounting summed over the store's regions.
   WakeupStats TotalWakeups() const;
 
   // Hook invoked (on the timer thread) every time an entry becomes visible at
@@ -366,9 +292,11 @@ class ReplicatedStore {
   FaultInjector* fault_injector() const { return options_.fault_injector; }
 
  protected:
-  const ReplicaTable& replica(Region region) const;
-  ReplicaTable& replica(Region region);
-  bool HasRegion(Region region) const;
+  bool HasRegion(Region region) const { return region_mask_ & RegionBit(region); }
+
+  // Handles to every entry applied at `region` whose key starts with
+  // `prefix`, sorted by key (typed scans). Walks every shard.
+  std::vector<EntryHandle> ScanPrefix(Region region, std::string_view prefix) const;
 
   // Schedules `fn` on the store's timer under the drain contract: the work
   // counts as in-flight replication, so DrainReplication (and hence the
@@ -379,7 +307,71 @@ class ReplicatedStore {
                          std::function<void()> fn);
 
  private:
-  uint64_t NextVersion(const std::string& key);
+  // A wait registered on one ⟨key, region⟩. The first claimer (apply,
+  // deadline timer, or timed-out sync waiter) wins; only the winner may
+  // invoke `cb` or abandon the waiter.
+  struct Waiter {
+    Region region = Region::kUs;
+    uint64_t version = 0;
+    std::atomic<bool> fired{false};
+    VisibilityCallback cb;
+  };
+
+  // Everything the store knows about one key. Guarded by its shard's lock;
+  // the entries behind the handles are immutable once published.
+  struct KeyRecord {
+    uint64_t version = 0;  // per-key counter: the last version Put assigned
+    EntryHandle latest;    // the newest write (StrongGet)
+    std::array<EntryHandle, kNumRegions> applied;  // highest version per region
+    std::vector<std::shared_ptr<Waiter>> waiters;  // every region's, tagged
+
+    uint64_t VersionAt(Region region) const {
+      const EntryHandle& h = applied[static_cast<size_t>(RegionIndex(region))];
+      return h ? h.entry().version : 0;
+    }
+  };
+
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_map<std::string, KeyRecord, StringHash, std::equal_to<>> records;
+  };
+  // Wide enough that concurrent writers and applies of different keys
+  // essentially never share a stripe.
+  static constexpr size_t kNumShards = 64;
+
+  Shard& ShardFor(std::string_view key) const { return shards_[StringHash{}(key) % kNumShards]; }
+  static KeyRecord& RecordFor(Shard& shard, std::string_view key);
+  // Highest version of `key` applied at `region` (0 when none).
+  uint64_t AppliedVersion(Region region, std::string_view key) const;
+
+  // Installs `handle` as `region`'s applied entry unless the region already
+  // holds that version or a newer one (a stale replay), and moves the
+  // region's waiters it satisfies into `due`. Caller holds the shard lock.
+  static bool InstallLocked(KeyRecord& record, Region region, const EntryHandle& handle,
+                            std::vector<std::shared_ptr<Waiter>>& due);
+  // Wakeup accounting plus the `due` callbacks, run after the shard lock
+  // drops: callbacks may take unrelated locks (barrier gathers, sync-wait
+  // completions) but must not re-enter the store.
+  void WakeDue(Region region, uint64_t version, std::vector<std::shared_ptr<Waiter>>& due) const;
+
+  // Registers a waiter for ⟨key, version⟩ at `region` unless already
+  // visible; returns nullptr in the visible case and leaves `cb` unconsumed
+  // (the check and the registration share the shard lock, so an apply can
+  // never slip between them).
+  std::shared_ptr<Waiter> RegisterWaiter(Region region, std::string_view key, uint64_t version,
+                                         VisibilityCallback&& cb) const;
+  // Arms one deadline timer that claims every still-pending waiter in
+  // `waiters` and hands it DeadlineExceeded. Delivers inline when the timer
+  // engine has shut down, so no waiter can hang past teardown.
+  void ExpireAt(TimePoint deadline, std::vector<std::shared_ptr<Waiter>> waiters) const;
+  // The outcome of a wait that needs no registration: Ok when the store has
+  // no replica at `region` (vacuously visible, see IsVisible), Unavailable on
+  // an injected wait error; nullopt when the caller should really wait.
+  std::optional<Status> WaitShortCircuit(Region region) const;
 
   // Timer affinity for a shipment: all shipments of `key` to `destination`
   // land on the same engine shard + worker, so per-⟨key, region⟩ applies
@@ -414,14 +406,17 @@ class ReplicatedStore {
   // Registered visibility state (nullptr when options_.visibility_cache is).
   std::shared_ptr<StoreVisibility> visibility_;
 
-  // Per-key version counters, striped so concurrent writers of different
-  // keys never contend on one global mutex/map.
-  static constexpr size_t kVersionShards = 64;
-  struct VersionShard {
-    std::mutex mu;
-    std::unordered_map<std::string, uint64_t> versions;
-  };
-  mutable std::array<VersionShard, kVersionShards> version_shards_;
+  // The per-key records, lock-striped by key hash.
+  mutable std::array<Shard, kNumShards> shards_;
+
+  // Resident waiters per region, shared (not a raw member) so deadline
+  // timers can decrement it safely even if they fire after the store is
+  // gone; and the apply-path wakeup counters behind TotalWakeups.
+  std::shared_ptr<std::array<std::atomic<uint64_t>, kNumRegions>> resident_waiters_ =
+      std::make_shared<std::array<std::atomic<uint64_t>, kNumRegions>>();
+  mutable std::atomic<uint64_t> applies_{0};
+  mutable std::atomic<uint64_t> waiters_notified_{0};
+  mutable std::atomic<uint64_t> notify_all_wakeups_{0};
 
   // Lock-free in-flight shipment accounting: Put increments before
   // scheduling, the shipment callback decrements after the apply. The mutex/
@@ -440,17 +435,18 @@ class ReplicatedStore {
   // Applies the entry at `region`, or buffers it while the region's inbound
   // replication is stalled (manual pause or an armed fault plan), or retries
   // it after an injected transient apply error. Fires the apply hook.
-  void ApplyAt(Region region, const StoredEntry& entry);
+  void ApplyAt(Region region, const EntryHandle& handle);
 
-  // The unconditional half of ApplyAt: replica apply + apply hook + visibility
-  // notification. Backlog replay goes through ApplyAt (which calls this), so
-  // the cache sees every ⟨seq, region⟩ exactly once regardless of stalls.
-  void ApplyReplicated(Region region, const StoredEntry& entry);
+  // The unconditional half of ApplyAt: record apply + visibility
+  // notification + apply hook. Backlog replay goes through ApplyAt (which
+  // calls this), so the cache sees every ⟨seq, region⟩ exactly once
+  // regardless of stalls.
+  void ApplyReplicated(Region region, const EntryHandle& handle);
 
   // Buffers a stalled entry and, when the stall has a known heal time,
   // schedules the backlog replay for that moment (one pending replay per
   // region; the replay re-checks and re-schedules if faults persist).
-  void BufferStalled(Region region, const StoredEntry& entry, const StallDecision& stall);
+  void BufferStalled(Region region, const EntryHandle& handle, const StallDecision& stall);
 
   // Re-applies the region's stalled backlog through ApplyAt (entries re-buffer
   // if the region is still stalled) and records store.region_outage_ms once
@@ -467,18 +463,13 @@ class ReplicatedStore {
   // per-region "replay already scheduled" latch, and the outage clock are
   // always local.
   mutable std::mutex pause_mu_;
-  std::array<std::vector<StoredEntry>, kNumRegions> stalled_;
+  std::array<std::vector<EntryHandle>, kNumRegions> stalled_;
   std::array<bool, kNumRegions> heal_pending_{};
   std::array<TimePoint, kNumRegions> stall_started_{};
 
   // Ticket for the injector's resume-listener registration (0 when the store
   // has no injector); removed in the destructor before manual pauses clear.
   uint64_t resume_listener_ = 0;
-
-  // Authoritative latest copy of every key, updated synchronously at Put.
-  ReplicaTable authority_;
-
-  std::vector<std::unique_ptr<ReplicaTable>> replicas_;  // indexed by RegionIndex
 };
 
 }  // namespace antipode

@@ -138,8 +138,8 @@ std::optional<Row> SqlStore::SelectByPk(Region region, const std::string& table,
 std::vector<Row> SqlStore::SelectWhere(Region region, const std::string& table,
                                        const std::string& column, const Value& value) const {
   std::vector<Row> out;
-  for (const auto& entry : replica(region).ScanPrefix(table + "/")) {
-    auto row = Row::Deserialize(entry.bytes);
+  for (const EntryHandle& handle : ScanPrefix(region, table + "/")) {
+    auto row = Row::Deserialize(handle.entry().bytes);
     if (!row.ok()) {
       continue;
     }

@@ -15,6 +15,7 @@
 
 #include "src/antipode/antipode.h"
 #include "src/common/random.h"
+#include "src/common/sim.h"
 #include "src/context/request_context.h"
 #include "src/store/kv_store.h"
 
@@ -150,15 +151,21 @@ INSTANTIATE_TEST_SUITE_P(
                       XcyParam{80.0, 4, 10}, XcyParam{300.0, 3, 8}, XcyParam{0.1, 2, 5}));
 
 // The ACL scenario of §5.1: without transfer, Bob can see the post although
-// Alice blocked him first; with transfer, the block is enforced.
+// Alice blocked him first; with transfer, the block is enforced. Runs in
+// simulation on a private deterministic timer engine, so the race between
+// the slow ACL and the fast post is decided in virtual time, not by how
+// loaded the host is.
 TEST(XcyTransferScenarioTest, AclTransferEstablishesCrossLineageOrder) {
-  TimeScale::Set(0.005);
+  ScopedSimMode sim(7);
+  TimerServiceOptions timer_options;
+  timer_options.deterministic = true;
+  TimerService timers(timer_options);
   auto acl_options = KvStore::DefaultOptions("acl-storage", kRegions);
   acl_options.replication.median_millis = 400.0;  // ACL replicates slowly
   auto post_options = KvStore::DefaultOptions("post-storage-acl", kRegions);
   post_options.replication.median_millis = 20.0;  // posts replicate fast
-  KvStore acl(std::move(acl_options));
-  KvStore posts(std::move(post_options));
+  KvStore acl(std::move(acl_options), &RegionTopology::Default(), &timers);
+  KvStore posts(std::move(post_options), &RegionTopology::Default(), &timers);
   KvShim acl_shim(&acl);
   KvShim post_shim(&posts);
   ShimRegistry registry;
@@ -194,7 +201,6 @@ TEST(XcyTransferScenarioTest, AclTransferEstablishesCrossLineageOrder) {
                   .ok());
   EXPECT_TRUE(acl.IsVisible(Region::kEu, "acl:alice", 1));
   EXPECT_TRUE(posts.IsVisible(Region::kEu, "post:alice:2", 1));
-  TimeScale::Set(1.0);
 }
 
 }  // namespace

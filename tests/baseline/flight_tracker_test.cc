@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/antipode/kv_shim.h"
+#include "src/common/sim.h"
 #include "src/store/kv_store.h"
 
 namespace antipode {
@@ -40,14 +41,18 @@ TEST_F(FlightTrackerTest, EveryInteractionCountsAnRpc) {
   EXPECT_EQ(tickets.rpc_count(), 2u);
 }
 
+// Runs in simulation: the ticket RPC's sleeps advance virtual time, so both
+// durations are exact model latency and load on the host cannot skew them.
 TEST_F(FlightTrackerTest, RemoteCallerPaysWanRoundTrip) {
+  ScopedSimMode sim(7);
   TicketService tickets(Region::kUs);
-  const TimePoint t0 = SystemClock::Instance().Now();
+  const TimePoint t0 = GlobalClock().Now();
   tickets.GetTicket(Region::kUs, "alice");  // ~intra-region
-  const auto local_cost = SystemClock::Instance().Now() - t0;
-  const TimePoint t1 = SystemClock::Instance().Now();
+  const auto local_cost = GlobalClock().Now() - t0;
+  const TimePoint t1 = GlobalClock().Now();
   tickets.GetTicket(Region::kSg, "alice");  // cross-WAN
-  const auto remote_cost = SystemClock::Instance().Now() - t1;
+  const auto remote_cost = GlobalClock().Now() - t1;
+  EXPECT_GT(local_cost.count(), 0);
   EXPECT_GT(remote_cost, local_cost * 5);
 }
 

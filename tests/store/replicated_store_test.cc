@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/common/sim.h"
 
 namespace antipode {
 namespace {
@@ -24,6 +29,23 @@ class ReplicatedStoreTest : public ::testing::Test {
  protected:
   void SetUp() override { TimeScale::Set(0.05); }
   void TearDown() override { TimeScale::Set(1.0); }
+};
+
+// A store on a private deterministic timer engine, for tests that run in
+// simulation (construct inside a ScopedSimMode).
+struct SimStore {
+  explicit SimStore(std::string name)
+      : timers(TimerServiceOptions{.deterministic = true}),
+        store(FastOptions(std::move(name)), &RegionTopology::Default(), &timers) {}
+  TimerService timers;
+  ReplicatedStore store;
+};
+
+// Exposes the protected typed-scan primitive.
+class ScanningStore : public ReplicatedStore {
+ public:
+  using ReplicatedStore::ReplicatedStore;
+  using ReplicatedStore::ScanPrefix;
 };
 
 TEST_F(ReplicatedStoreTest, WriteIsImmediatelyVisibleAtOrigin) {
@@ -71,14 +93,91 @@ TEST_F(ReplicatedStoreTest, NewerVersionSupersedesWait) {
   EXPECT_TRUE(store.WaitVisible(Region::kEu, "k", 1, std::chrono::seconds(5)).ok());
 }
 
+// The EU pause buffers US version 1; EU then writes version 2 itself. The
+// heal replays version 1 into EU, which must ignore it as stale.
 TEST_F(ReplicatedStoreTest, StaleReplayDoesNotRegress) {
-  ReplicaTable table;
-  table.Apply(StoredEntry{"k", "new", 5, Region::kUs, {}});
-  table.Apply(StoredEntry{"k", "old", 3, Region::kUs, {}});
-  auto entry = table.Get("k");
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->bytes, "new");
-  EXPECT_EQ(entry->version, 5u);
+  ScopedSimMode sim(3);
+  SimStore s("rs-stale");
+  s.store.fault_injector()->PauseStore(s.store.name(), Region::kEu);
+  EXPECT_EQ(s.store.Put(Region::kUs, "k", "old"), 1u);
+  s.store.DrainReplication();
+  EXPECT_FALSE(s.store.IsVisible(Region::kEu, "k", 1));
+  EXPECT_EQ(s.store.Put(Region::kEu, "k", "new"), 2u);
+  s.store.fault_injector()->ResumeStore(s.store.name(), Region::kEu);
+  s.store.DrainReplication();
+  for (Region region : {Region::kEu, Region::kUs}) {
+    auto entry = s.store.Get(region, "k");
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->bytes, "new");
+    EXPECT_EQ(entry->version, 2u);
+  }
+}
+
+// Each region reads the version it applied, not the key's latest: with EU
+// paused, EU keeps serving version 1 while US and StrongGet see version 2.
+TEST_F(ReplicatedStoreTest, RegionReadsItsOwnAppliedVersion) {
+  ScopedSimMode sim(5);
+  SimStore s("rs-held");
+  s.store.Put(Region::kUs, "k", "v1");
+  s.store.DrainReplication();
+  s.store.fault_injector()->PauseStore(s.store.name(), Region::kEu);
+  s.store.Put(Region::kUs, "k", "v2");
+  s.store.DrainReplication();
+
+  auto eu = s.store.Get(Region::kEu, "k");
+  ASSERT_TRUE(eu.has_value());
+  EXPECT_EQ(eu->bytes, "v1");
+  EXPECT_EQ(eu->version, 1u);
+  EXPECT_TRUE(s.store.IsVisible(Region::kEu, "k", 1));
+  EXPECT_FALSE(s.store.IsVisible(Region::kEu, "k", 2));
+  EXPECT_EQ(s.store.Get(Region::kUs, "k")->version, 2u);
+  auto strong = s.store.StrongGet(Region::kEu, "k");
+  ASSERT_TRUE(strong.has_value());
+  EXPECT_EQ(strong->bytes, "v2");
+
+  s.store.fault_injector()->ResumeStore(s.store.name(), Region::kEu);
+  EXPECT_EQ(s.store.Get(Region::kEu, "k")->version, 2u);
+}
+
+// Waiters share the key's record but are tagged by region: the synchronous
+// US apply of a Put must not wake (or count) a waiter registered for EU.
+TEST_F(ReplicatedStoreTest, ApplyWakesOnlyItsRegionsWaiters) {
+  ScopedSimMode sim(9);
+  SimStore s("rs-waiters");
+  std::optional<Status> eu_result;
+  s.store.WaitVisibleAsync(Region::kEu, "k", 1, TimePoint::max(),
+                           [&eu_result](Status status) { eu_result = std::move(status); });
+  s.store.Put(Region::kUs, "k", "v");
+  EXPECT_FALSE(eu_result.has_value());
+  EXPECT_EQ(s.store.TotalWakeups().applies, 1u);
+  EXPECT_EQ(s.store.TotalWakeups().waiters_notified, 0u);
+
+  s.store.DrainReplication();
+  ASSERT_TRUE(eu_result.has_value());
+  EXPECT_TRUE(eu_result->ok());
+  EXPECT_EQ(s.store.TotalWakeups().applies, 2u);
+  EXPECT_EQ(s.store.TotalWakeups().waiters_notified, 1u);
+}
+
+// Overwrites share one pooled block across the record's slots and release
+// the superseded ones; teardown returns the rest.
+TEST_F(ReplicatedStoreTest, EntryBlocksReturnToPool) {
+  const size_t start = EntryBlockPool().stats().outstanding;
+  {
+    ScopedSimMode sim(13);
+    SimStore s("rs-pool");
+    for (int i = 0; i < 10; ++i) {
+      s.store.Put(i % 2 == 0 ? Region::kUs : Region::kEu, "k", "v" + std::to_string(i));
+    }
+    s.store.DrainReplication();
+    s.store.fault_injector()->PauseStore(s.store.name(), Region::kEu);
+    s.store.Put(Region::kUs, "held", "buffered while EU is paused");
+    s.store.DrainReplication();
+    // "k": one block behind its latest and both applied slots. "held": one
+    // block behind the US slot and the EU backlog.
+    EXPECT_EQ(EntryBlockPool().stats().outstanding - start, 2u);
+  }
+  EXPECT_EQ(EntryBlockPool().stats().outstanding, start);
 }
 
 TEST_F(ReplicatedStoreTest, WaitVisibleTimesOut) {
@@ -104,18 +203,43 @@ TEST_F(ReplicatedStoreTest, StrongGetSeesLatestBeforeReplication) {
 }
 
 TEST_F(ReplicatedStoreTest, ScanPrefixReturnsMatchingEntries) {
-  ReplicatedStore store(FastOptions("rs9"));
+  ScanningStore store(FastOptions("rs9"));
   store.Put(Region::kUs, "t/1", "a");
   store.Put(Region::kUs, "t/2", "b");
   store.Put(Region::kUs, "u/1", "c");
-  ReplicaTable table;
-  table.Apply(StoredEntry{"t/1", "a", 1, Region::kUs, {}});
-  table.Apply(StoredEntry{"t/2", "b", 1, Region::kUs, {}});
-  table.Apply(StoredEntry{"u/1", "c", 1, Region::kUs, {}});
-  EXPECT_EQ(table.ScanPrefix("t/").size(), 2u);
-  EXPECT_EQ(table.ScanPrefix("u/").size(), 1u);
-  EXPECT_EQ(table.ScanPrefix("v/").size(), 0u);
-  EXPECT_EQ(table.Size(), 3u);
+  EXPECT_EQ(store.ScanPrefix(Region::kUs, "t/").size(), 2u);
+  EXPECT_EQ(store.ScanPrefix(Region::kUs, "u/").size(), 1u);
+  EXPECT_EQ(store.ScanPrefix(Region::kUs, "v/").size(), 0u);
+  EXPECT_EQ(store.ScanPrefix(Region::kUs, "").size(), 3u);
+}
+
+// Keys hash across every shard; the scan must still come back key-sorted,
+// and a region sees only what it has applied.
+TEST_F(ReplicatedStoreTest, ScanPrefixStaysKeySortedAcrossShards) {
+  ScopedSimMode sim(17);
+  TimerService timers(TimerServiceOptions{.deterministic = true});
+  ScanningStore store(FastOptions("rs-scan"), &RegionTopology::Default(), &timers);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back("t/" + std::to_string(i));
+  }
+  std::mt19937 rng(17);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  for (const std::string& key : keys) {
+    store.Put(Region::kUs, key, key);
+    store.Put(Region::kUs, "u/" + key, "other table");
+  }
+  EXPECT_TRUE(store.ScanPrefix(Region::kEu, "t/").empty());  // nothing shipped yet
+  store.DrainReplication();
+  std::sort(keys.begin(), keys.end());
+  for (Region region : {Region::kUs, Region::kEu}) {
+    const std::vector<EntryHandle> scan = store.ScanPrefix(region, "t/");
+    ASSERT_EQ(scan.size(), keys.size());
+    for (size_t i = 0; i < scan.size(); ++i) {
+      EXPECT_EQ(scan[i].entry().key, keys[i]);
+      EXPECT_EQ(scan[i].entry().bytes, keys[i]);
+    }
+  }
 }
 
 TEST_F(ReplicatedStoreTest, ApplyHookFiresForEveryRegion) {

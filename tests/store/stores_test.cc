@@ -51,7 +51,11 @@ TEST_F(StoresTest, KvReplicatesEventually) {
 
 class SqlTest : public StoresTest {
  protected:
+  // Every fixture's store is named "sql", so its metrics resolve to the same
+  // registry instruments as the previous test's in this process: start from
+  // reset metrics so size assertions see only this test's writes.
   SqlTest() : sql_(SqlStore::DefaultOptions("sql", kRegions)) {
+    sql_.metrics().Reset();
     sql_.CreateTable("users", {"id", "name", "age"}, "id");
   }
   SqlStore sql_;
