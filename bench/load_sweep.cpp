@@ -239,7 +239,7 @@ class PostBed : public Bed {
     } else {
       notifs_->Subscribe(Region::kUs, kTopic, readers,
                          [on_message](const BrokerMessage& message) {
-                           on_message(ConsumedMessage{message.payload, Lineage(),
+                           on_message(ConsumedMessage{std::string(message.payload()), Lineage(),
                                                       message.delivered_at});
                          });
     }
@@ -340,7 +340,7 @@ class MediaBed : public Bed {
     } else {
       events_->Subscribe(Region::kEu, kQueue, renderers,
                          [render](const BrokerMessage& message) {
-                           render(ConsumedMessage{message.payload, Lineage(),
+                           render(ConsumedMessage{std::string(message.payload()), Lineage(),
                                                   message.delivered_at});
                          });
     }

@@ -14,7 +14,13 @@
 // Section 3 is dispatch-bound: zero spin, zero block — pure per-event engine
 // overhead (shard heap + MPSC handoff + wake), the queue-machinery number.
 //
-// Flags: --events=<n> --block-us=<us> --spin-us=<us> --puts=<n> --scale=<f>
+// Section 4 counts heap allocations per delivered broker message: the same
+// publish loop on a single-region pub/sub store with two in-region
+// subscribers and with none; the difference over the number of deliveries is
+// what the delivery path itself allocates (the executor task included).
+//
+// Flags: --events=<n> --block-us=<us> --spin-us=<us> --puts=<n>
+//        --messages=<n> --scale=<f>
 
 #include <algorithm>
 #include <atomic>
@@ -26,10 +32,12 @@
 
 #include "bench/alloc_hook.h"
 #include "bench/bench_util.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer_service.h"
 #include "src/net/region.h"
 #include "src/net/topology.h"
 #include "src/obs/metrics.h"
+#include "src/store/pubsub_store.h"
 #include "src/store/replicated_store.h"
 
 namespace antipode {
@@ -95,7 +103,7 @@ StoreResult RunStoreConfig(size_t num_shards, size_t num_workers, int puts, int 
     options.replication.sigma = 0.0;
     ReplicatedStore store(options, &RegionTopology::Default(), &timers);
     std::atomic<int> applied{0};
-    store.SetApplyHook([&applied, block_us](Region region, const StoredEntry&) {
+    store.SetApplyHook([&applied, block_us](Region region, const EntryHandle&) {
       if (region == Region::kUs) {
         return;  // local apply on the writer thread: don't serialize the bench
       }
@@ -129,12 +137,40 @@ StoreResult RunStoreConfig(size_t num_shards, size_t num_workers, int puts, int 
   return result;
 }
 
+// Heap allocations of `messages` publishes (and their deliveries) on a fresh
+// single-region pub/sub store with `subscribers` in-region subscribers.
+uint64_t BrokerPublishAllocs(int messages, int subscribers, ThreadPool* consumers) {
+  std::atomic<int> delivered{0};
+  PubSubStore broker(
+      PubSubStore::DefaultOptions("bench-broker-" + std::to_string(subscribers), {Region::kUs}));
+  for (int i = 0; i < subscribers; ++i) {
+    broker.Subscribe(Region::kUs, "topic", consumers, [&delivered](const BrokerMessage&) {
+      delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  const std::string payload(48, 'p');  // past any short-string buffer
+  auto publish = [&](int n) {
+    const int expected = delivered.load() + n * subscribers;
+    for (int i = 0; i < n; ++i) {
+      broker.Publish(Region::kUs, "topic", payload);
+    }
+    while (delivered.load() < expected) {
+      std::this_thread::yield();
+    }
+  };
+  publish(64);  // warm-up: entry-block pool, task-queue and record-table capacity
+  const uint64_t before = benchhook::AllocationCount();
+  publish(messages);
+  return benchhook::AllocationCount() - before;
+}
+
 int Main(int argc, char** argv) {
   BenchArgs args(argc, argv);
   const int events = args.GetInt("events", 2000);
   const int spin_us = args.GetInt("spin-us", 5);
   const int block_us = args.GetInt("block-us", 200);
   const int puts = args.GetInt("puts", 300);
+  const int messages = args.GetInt("messages", 20000);
   args.SetupTimeScale(0.02);
 
   std::printf("# engine: %d events, %dus spin + %dus blocking sleep per callback\n", events,
@@ -179,6 +215,16 @@ int Main(int argc, char** argv) {
   std::printf("%-22s %14.0f events/sec (%.2fx)\n", "4 shards, 8 workers",
               dispatch_workers.applies_per_sec,
               dispatch_workers.applies_per_sec / dispatch_inline.applies_per_sec);
+
+  std::printf("\n# broker: %d messages, 2 in-region subscribers vs none\n", messages);
+  ThreadPool consumers(1, "bench-consumers");
+  const uint64_t without = BrokerPublishAllocs(messages, 0, &consumers);
+  const uint64_t with = BrokerPublishAllocs(messages, 2, &consumers);
+  consumers.Shutdown();
+  std::printf("%-22s %8.2f allocs/delivered message\n", "pub/sub delivery",
+              messages > 0 ? (static_cast<double>(with) - static_cast<double>(without)) /
+                                 (2.0 * messages)
+                           : 0.0);
   return 0;
 }
 

@@ -246,7 +246,7 @@ EpisodeResult RunEpisode(uint64_t seed) {
 
   auto make_reader = [&](Region region, uint64_t process) {
     return [&, region, process](const BrokerMessage& message) {
-      const int idx = std::atoi(message.payload.c_str());
+      const int idx = std::atoi(std::string(message.payload()).c_str());
       if (idx < 0 || idx >= num_posts) {
         return;
       }

@@ -4,19 +4,24 @@
 
 namespace antipode {
 
-Lineage DocShim::InsertDoc(Region region, const std::string& collection, const std::string& id,
-                           Document doc, Lineage lineage) {
+WriteId DocShim::FramedInsert(Region region, const std::string& collection,
+                              const std::string& id, Document doc, const Lineage& lineage) {
   doc.Set(kLineageField, Value(lineage.Serialize()));
   const uint64_t version = docs_->InsertDoc(region, collection, id, doc);
-  lineage.Append(MakeWriteId(DocStore::DocKey(collection, id), version));
+  return MakeWriteId(DocStore::DocKey(collection, id), version);
+}
+
+Lineage DocShim::InsertDoc(Region region, const std::string& collection, const std::string& id,
+                           Document doc, Lineage lineage) {
+  lineage.Append(FramedInsert(region, collection, id, std::move(doc), lineage));
   return lineage;
 }
 
 Result<DocShim::ReadResult> DocShim::FindById(Region region, const std::string& collection,
                                               const std::string& id) const {
   const std::string key = DocStore::DocKey(collection, id);
-  auto entry = docs_->Get(region, key);
-  if (!entry.has_value() || entry->bytes.empty()) {
+  EntryHandle entry = docs_->Get(region, key);
+  if (!entry || entry->bytes.empty()) {
     return Status::NotFound("doc read miss: " + key);
   }
   auto doc = Document::Deserialize(entry->bytes);
@@ -39,9 +44,9 @@ Result<DocShim::ReadResult> DocShim::FindById(Region region, const std::string& 
 
 Status DocShim::InsertDocCtx(Region region, const std::string& collection, const std::string& id,
                              Document doc) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  LineageApi::Install(InsertDoc(region, collection, id, std::move(doc), std::move(lineage)));
-  return Status::Ok();
+  return LineageApi::AppendWrite([&](const Lineage& lineage) {
+    return FramedInsert(region, collection, id, std::move(doc), lineage);
+  });
 }
 
 Result<Document> DocShim::FindByIdCtx(Region region, const std::string& collection,

@@ -33,6 +33,11 @@ class DocShim : public WatermarkShim {
                                const std::string& id) const;
 
  private:
+  // Stores `doc` with `lineage` in its lineage field; returns the write's
+  // identifier.
+  WriteId FramedInsert(Region region, const std::string& collection, const std::string& id,
+                       Document doc, const Lineage& lineage);
+
   DocStore* docs_;
 };
 

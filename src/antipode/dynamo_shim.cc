@@ -13,8 +13,8 @@ Status DynamoShim::Wait(Region region, const WriteId& id, Duration timeout) {
   // resolves on the first probe; the loop guards the (rare) case of probing
   // before the writer's Put returned.
   while (true) {
-    auto entry = dynamo_->StrongGet(region, id.key);
-    if (entry.has_value() && entry->version >= id.version) {
+    EntryHandle entry = dynamo_->StrongGet(region, id.key);
+    if (entry && entry->version >= id.version) {
       return Status::Ok();
     }
     if (deadline != TimePoint::max() && GlobalClock().Now() >= deadline) {
@@ -33,8 +33,8 @@ void DynamoShim::WaitAsync(Region region, const WriteId& id, TimePoint deadline,
 }
 
 void DynamoShim::ProbeLoop(const std::shared_ptr<ProbeState>& state) {
-  auto entry = dynamo_->StrongGet(state->region, state->id.key);
-  if (entry.has_value() && entry->version >= state->id.version) {
+  EntryHandle entry = dynamo_->StrongGet(state->region, state->id.key);
+  if (entry && entry->version >= state->id.version) {
     state->done(Status::Ok());
     return;
   }
@@ -65,20 +65,30 @@ bool DynamoShim::IsVisible(Region region, const WriteId& id) {
   return dynamo_->IsVisible(region, id.key, id.version);
 }
 
-Result<Lineage> DynamoShim::PutItem(Region region, const std::string& table,
-                                    const std::string& key, Document item, Lineage lineage) {
+Result<WriteId> DynamoShim::FramedPut(Region region, const std::string& table,
+                                      const std::string& key, Document item,
+                                      const Lineage& lineage) {
   item.Set(kLineageField, Value(lineage.Serialize()));
   auto version = dynamo_->PutItem(region, table, key, item);
   if (!version.ok()) {
     return version.status();
   }
-  lineage.Append(MakeWriteId(DynamoStore::ItemKey(table, key), *version));
+  return MakeWriteId(DynamoStore::ItemKey(table, key), *version);
+}
+
+Result<Lineage> DynamoShim::PutItem(Region region, const std::string& table,
+                                    const std::string& key, Document item, Lineage lineage) {
+  auto id = FramedPut(region, table, key, std::move(item), lineage);
+  if (!id.ok()) {
+    return id.status();
+  }
+  lineage.Append(std::move(*id));
   return lineage;
 }
 
-Result<DynamoShim::ReadResult> DynamoShim::DecodeEntry(const std::optional<StoredEntry>& entry,
+Result<DynamoShim::ReadResult> DynamoShim::DecodeEntry(const EntryHandle& entry,
                                                        const std::string& key) const {
-  if (!entry.has_value() || entry->bytes.empty()) {
+  if (!entry || entry->bytes.empty()) {
     return Status::NotFound("dynamo read miss: " + key);
   }
   auto doc = Document::Deserialize(entry->bytes);
@@ -114,13 +124,9 @@ Result<DynamoShim::ReadResult> DynamoShim::GetItemConsistent(Region region,
 
 Status DynamoShim::PutItemCtx(Region region, const std::string& table, const std::string& key,
                               Document item) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  auto updated = PutItem(region, table, key, std::move(item), std::move(lineage));
-  if (!updated.ok()) {
-    return updated.status();
-  }
-  LineageApi::Install(*updated);
-  return Status::Ok();
+  return LineageApi::AppendWrite([&](const Lineage& lineage) {
+    return FramedPut(region, table, key, std::move(item), lineage);
+  });
 }
 
 Result<Document> DynamoShim::GetItemCtx(Region region, const std::string& table,

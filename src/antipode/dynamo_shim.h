@@ -7,7 +7,6 @@
 #ifndef SRC_ANTIPODE_DYNAMO_SHIM_H_
 #define SRC_ANTIPODE_DYNAMO_SHIM_H_
 
-#include <optional>
 #include <string>
 
 #include "src/antipode/lineage_api.h"
@@ -78,8 +77,12 @@ class DynamoShim : public Shim {
   // One strong-read probe; completes or re-arms itself via the timer service.
   void ProbeLoop(const std::shared_ptr<ProbeState>& state);
 
-  Result<ReadResult> DecodeEntry(const std::optional<StoredEntry>& entry,
-                                 const std::string& key) const;
+  // Stores `item` with `lineage` in its lineage field; returns the write's
+  // identifier.
+  Result<WriteId> FramedPut(Region region, const std::string& table, const std::string& key,
+                            Document item, const Lineage& lineage);
+
+  Result<ReadResult> DecodeEntry(const EntryHandle& entry, const std::string& key) const;
 
   DynamoStore* dynamo_;
 };

@@ -26,23 +26,24 @@ std::string FrameValue(const Lineage& lineage, std::string_view value) {
 
 FramedValue UnframeValue(std::string_view stored) {
   FramedValue out;
-  if (stored.size() < sizeof(kFrameMagic) ||
-      stored.compare(0, sizeof(kFrameMagic), kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    out.value.assign(stored.data(), stored.size());
-    return out;
+  if (stored.size() >= sizeof(kFrameMagic) &&
+      stored.compare(0, sizeof(kFrameMagic), kFrameMagic, sizeof(kFrameMagic)) == 0) {
+    // The lineage blob is decoded in place (a view into `stored`); only the
+    // value is copied out.
+    Deserializer d(stored.substr(sizeof(kFrameMagic)));
+    auto blob = d.ReadView();
+    if (blob.ok()) {
+      auto lineage = Lineage::Deserialize(*blob);
+      if (lineage.ok()) {
+        out.lineage = std::move(*lineage);
+        out.value.assign(stored.substr(stored.size() - d.Remaining()));
+        return out;
+      }
+    }
   }
-  Deserializer d(stored.substr(sizeof(kFrameMagic)));
-  auto blob = d.ReadString();
-  if (!blob.ok()) {
-    out.value.assign(stored.data(), stored.size());
-    return out;
-  }
-  auto lineage = Lineage::Deserialize(*blob);
-  if (lineage.ok()) {
-    out.lineage = std::move(*lineage);
-  }
-  const size_t consumed = stored.size() - d.Remaining();
-  out.value.assign(stored.substr(consumed));
+  // No valid frame — raw bytes, or a frame whose lineage does not decode:
+  // pass the bytes through whole rather than guess at a value.
+  out.value.assign(stored.data(), stored.size());
   return out;
 }
 

@@ -32,7 +32,9 @@ struct FramedValue {
 std::string FrameValue(const Lineage& lineage, std::string_view value);
 
 // Decodes a stored representation. Bytes that were written without a shim
-// (no valid frame) decode as {bytes, empty lineage} on a best-effort basis.
+// (no valid frame, or a frame whose lineage does not decode) decode as
+// {bytes, empty lineage} on a best-effort basis. A valid frame re-encodes
+// byte-identically: FrameValue(out.lineage, out.value) == stored.
 FramedValue UnframeValue(std::string_view stored);
 
 }  // namespace antipode

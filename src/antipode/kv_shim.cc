@@ -4,16 +4,20 @@
 
 namespace antipode {
 
+WriteId KvShim::FramedSet(Region region, const std::string& key, std::string_view value,
+                          const Lineage& lineage) {
+  return MakeWriteId(key, kv_->Set(region, key, FrameValue(lineage, value)));
+}
+
 Lineage KvShim::Write(Region region, const std::string& key, std::string_view value,
                       Lineage lineage) {
-  const uint64_t version = kv_->Set(region, key, FrameValue(lineage, value));
-  lineage.Append(MakeWriteId(key, version));
+  lineage.Append(FramedSet(region, key, value, lineage));
   return lineage;
 }
 
 Result<KvShim::ReadResult> KvShim::Read(Region region, const std::string& key) const {
-  auto entry = kv_->Get(region, key);
-  if (!entry.has_value() || entry->bytes.empty()) {
+  EntryHandle entry = kv_->Get(region, key);
+  if (!entry || entry->bytes.empty()) {
     return Status::NotFound("kv read miss: " + key);
   }
   ReadResult out;
@@ -25,9 +29,8 @@ Result<KvShim::ReadResult> KvShim::Read(Region region, const std::string& key) c
 }
 
 Status KvShim::WriteCtx(Region region, const std::string& key, std::string_view value) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  LineageApi::Install(Write(region, key, value, std::move(lineage)));
-  return Status::Ok();
+  return LineageApi::AppendWrite(
+      [&](const Lineage& lineage) { return FramedSet(region, key, value, lineage); });
 }
 
 Result<std::string> KvShim::ReadCtx(Region region, const std::string& key) const {

@@ -35,6 +35,10 @@ class KvShim : public WatermarkShim {
   Result<std::string> ReadCtx(Region region, const std::string& key) const;
 
  private:
+  // Stores `value` framed with `lineage`; returns the write's identifier.
+  WriteId FramedSet(Region region, const std::string& key, std::string_view value,
+                    const Lineage& lineage);
+
   KvStore* kv_;
 };
 

@@ -251,10 +251,12 @@ Result<Lineage> Lineage::Deserialize(std::string_view data) {
     return Status::InvalidArgument("lineage wire store table size " +
                                    std::to_string(*store_count) + " exceeds remaining payload");
   }
-  std::vector<std::string> stores;
+  // Views into `data`: each name is copied once per dependency that uses it
+  // (WriteId owns its store), never into an intermediate table.
+  SmallVector<std::string_view, 4> stores;
   stores.reserve(*store_count);
   for (uint64_t i = 0; i < *store_count; ++i) {
-    auto store = d.ReadString();
+    auto store = d.ReadView();
     if (!store.ok()) {
       return Status::InvalidArgument("lineage wire truncated in store table entry " +
                                      std::to_string(i) + " of " + std::to_string(*store_count) +
@@ -265,9 +267,9 @@ Result<Lineage> Lineage::Deserialize(std::string_view data) {
     // unsorted or duplicated entry marks a corrupt or foreign wire.
     if (!stores.empty() && !(stores.back() < *store)) {
       return Status::InvalidArgument("lineage wire store table not canonical at entry " +
-                                     std::to_string(i) + " (\"" + *store + "\")");
+                                     std::to_string(i) + " (\"" + std::string(*store) + "\")");
     }
-    stores.push_back(std::move(*store));
+    stores.push_back(*store);
   }
   auto count = d.ReadVarint();
   if (!count.ok()) {
@@ -301,7 +303,7 @@ Result<Lineage> Lineage::Deserialize(std::string_view data) {
                                      std::to_string(i) + " after index " +
                                      std::to_string(prev_index));
     }
-    auto key = d.ReadString();
+    auto key = d.ReadView();
     if (!key.ok()) {
       // A short read is a framing error of the lineage blob, not a range
       // problem of one field — report it as such, with position context.
@@ -321,7 +323,7 @@ Result<Lineage> Lineage::Deserialize(std::string_view data) {
                                      std::to_string(i) + " of " + std::to_string(*count) + ": " +
                                      std::string(scope.status().message()));
     }
-    WriteId dep{stores[*index], std::move(*key), *version};
+    WriteId dep{std::string(stores[*index]), std::string(*key), *version};
     // A scope must name at least one real region: zero claims "enforce
     // nowhere" (such a dependency is never serialized — it is pruned), and
     // bits beyond kNumRegions would round-trip into masks no barrier can

@@ -99,6 +99,26 @@ void LineageApi::Remove(const WriteId& dep) {
   }
 }
 
+const Lineage& LineageApi::CurrentOrEmpty() {
+  static const Lineage kEmpty{};
+  RequestContext* context = RequestContext::Current();
+  const auto* lineage =
+      context == nullptr ? nullptr : static_cast<const Lineage*>(context->NativeObject());
+  return lineage != nullptr ? *lineage : kEmpty;
+}
+
+void LineageApi::AppendOrInstall(WriteId dep) {
+  if (Lineage* lineage = MutableCurrent()) {
+    lineage->Append(std::move(dep));
+    return;
+  }
+  if (RequestContext* context = RequestContext::Current()) {
+    auto fresh = std::make_shared<Lineage>();
+    fresh->Append(std::move(dep));
+    context->SetNativeObject(std::move(fresh));
+  }
+}
+
 void LineageApi::Transfer(const Lineage& from) {
   if (Lineage* lineage = MutableCurrent()) {
     lineage->Transfer(from);

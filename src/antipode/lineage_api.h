@@ -15,8 +15,10 @@
 #define SRC_ANTIPODE_LINEAGE_API_H_
 
 #include <optional>
+#include <utility>
 
 #include "src/antipode/lineage.h"
+#include "src/common/status.h"
 
 namespace antipode {
 
@@ -48,6 +50,31 @@ class LineageApi {
   // transfer(ℒa, ℒb): folds `from`'s dependencies into the current lineage,
   // explicitly carrying causality across lineage boundaries (§5.1).
   static void Transfer(const Lineage& from);
+
+  // The contract of every shim's context-bound write (`*Ctx`): frame by
+  // reference, append in place. `write(const Lineage&)` frames its value
+  // from the current lineage — an empty one when the context carries none —
+  // and returns the new write's identifier (a WriteId or a Result<WriteId>);
+  // the identifier is then appended to the context's lineage in place
+  // (copy-on-write when another context shares it). A context without a
+  // lineage gets one holding just the new dependency; with no context
+  // installed the write still happens and nothing is installed. An error
+  // from `write` is returned and leaves the lineage untouched.
+  template <typename WriteFn>
+  static Status AppendWrite(WriteFn&& write) {
+    Result<WriteId> id = std::forward<WriteFn>(write)(CurrentOrEmpty());
+    if (!id.ok()) {
+      return id.status();
+    }
+    AppendOrInstall(std::move(*id));
+    return Status::Ok();
+  }
+
+ private:
+  // The current lineage, or a shared empty one; valid until the context's
+  // lineage is next replaced.
+  static const Lineage& CurrentOrEmpty();
+  static void AppendOrInstall(WriteId dep);
 };
 
 }  // namespace antipode

@@ -7,6 +7,7 @@
 
 #include "src/antipode/enforcement_internal.h"
 #include "src/common/property.h"
+#include "src/common/small_vector.h"
 #include "src/common/sim.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -139,14 +140,15 @@ Status LaunchBarrierWaits(const Lineage& lineage, const std::vector<Region>& reg
     *memoizable = true;
   }
   // Dependencies are sorted, so each store's run is contiguous: one registry
-  // lookup (and one cache-state fetch) per store, not per dependency.
+  // lookup (and one cache-state fetch) per store, not per dependency. A
+  // request's lineage spans a handful of stores, so the runs stay inline.
   struct StoreRun {
     Shim* shim = nullptr;
     VisibilityHandle vis;
     const WriteId* begin = nullptr;
     const WriteId* end = nullptr;
   };
-  std::vector<StoreRun> runs;
+  SmallVector<StoreRun, 4> runs;
   {
     Shim* shim = nullptr;
     VisibilityHandle vis;

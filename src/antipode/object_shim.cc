@@ -4,18 +4,23 @@
 
 namespace antipode {
 
+WriteId ObjectShim::FramedPut(Region region, const std::string& bucket, const std::string& key,
+                              std::string_view value, const Lineage& lineage) {
+  const uint64_t version = objects_->PutObject(region, bucket, key, FrameValue(lineage, value));
+  return MakeWriteId(ObjectStore::ObjectKey(bucket, key), version);
+}
+
 Lineage ObjectShim::PutObject(Region region, const std::string& bucket, const std::string& key,
                               std::string_view value, Lineage lineage) {
-  const uint64_t version = objects_->PutObject(region, bucket, key, FrameValue(lineage, value));
-  lineage.Append(MakeWriteId(ObjectStore::ObjectKey(bucket, key), version));
+  lineage.Append(FramedPut(region, bucket, key, value, lineage));
   return lineage;
 }
 
 Result<ObjectShim::ReadResult> ObjectShim::GetObject(Region region, const std::string& bucket,
                                                      const std::string& key) const {
   const std::string object_key = ObjectStore::ObjectKey(bucket, key);
-  auto entry = objects_->Get(region, object_key);
-  if (!entry.has_value() || entry->bytes.empty()) {
+  EntryHandle entry = objects_->Get(region, object_key);
+  if (!entry || entry->bytes.empty()) {
     return Status::NotFound("object read miss: " + object_key);
   }
   ReadResult out;
@@ -28,9 +33,9 @@ Result<ObjectShim::ReadResult> ObjectShim::GetObject(Region region, const std::s
 
 Status ObjectShim::PutObjectCtx(Region region, const std::string& bucket, const std::string& key,
                                 std::string_view value) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  LineageApi::Install(PutObject(region, bucket, key, value, std::move(lineage)));
-  return Status::Ok();
+  return LineageApi::AppendWrite([&](const Lineage& lineage) {
+    return FramedPut(region, bucket, key, value, lineage);
+  });
 }
 
 Result<std::string> ObjectShim::GetObjectCtx(Region region, const std::string& bucket,

@@ -32,6 +32,10 @@ class ObjectShim : public WatermarkShim {
                                    const std::string& key) const;
 
  private:
+  // Stores `value` framed with `lineage`; returns the write's identifier.
+  WriteId FramedPut(Region region, const std::string& bucket, const std::string& key,
+                    std::string_view value, const Lineage& lineage);
+
   ObjectStore* objects_;
 };
 

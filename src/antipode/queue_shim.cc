@@ -8,11 +8,11 @@ namespace antipode {
 
 void DispatchFramedMessage(const std::string& store_name, RegionMask scope,
                            const BrokerMessage& message, const ShimMessageHandler& handler) {
-  FramedValue framed = UnframeValue(message.payload);
+  FramedValue framed = UnframeValue(message.payload());
   ConsumedMessage consumed;
   consumed.payload = std::move(framed.value);
   consumed.lineage = std::move(framed.lineage);
-  consumed.lineage.Append(WriteId{store_name, message.key, message.version, scope});
+  consumed.lineage.Append(WriteId{store_name, message.key(), message.version(), scope});
   consumed.delivered_at = message.delivered_at;
 
   // Consumption starts a new execution; it runs under a fresh context whose
@@ -23,53 +23,36 @@ void DispatchFramedMessage(const std::string& store_name, RegionMask scope,
   LineageApi::Install(consumed.lineage);
   // Join the producer's trace (the span context rode the broker message), so
   // the consumer's barrier and reads land in the same end-to-end trace.
-  if (message.trace_id != 0 && Tracer::Default().enabled()) {
-    SetCurrentSpanContext(SpanContext{message.trace_id, message.parent_span_id});
+  if (message.trace_id() != 0 && Tracer::Default().enabled()) {
+    SetCurrentSpanContext(SpanContext{message.trace_id(), message.parent_span_id()});
   }
   handler(consumed);
 }
 
-Lineage QueueShim::Publish(Region region, const std::string& queue, std::string_view payload,
-                           Lineage lineage) {
-  auto result = queue_->PublishWithKey(region, queue, FrameValue(lineage, payload));
-  lineage.Append(MakeWriteId(result.key, result.version));
-  return lineage;
+WriteId BrokerShim::FramedPublish(Region region, const std::string& channel,
+                                  std::string_view payload, const Lineage& lineage) {
+  auto result = broker_->PublishWithKey(region, channel, FrameValue(lineage, payload));
+  return MakeWriteId(std::move(result.key), result.version);
 }
 
-Status QueueShim::PublishCtx(Region region, const std::string& queue, std::string_view payload) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  LineageApi::Install(Publish(region, queue, payload, std::move(lineage)));
-  return Status::Ok();
-}
-
-void QueueShim::Subscribe(Region region, const std::string& queue, ThreadPool* executor,
-                          ShimMessageHandler handler) {
-  const std::string name = store_name();
-  const RegionMask scope = region_scope();
-  queue_->Subscribe(region, queue, executor,
-                    [name, scope, handler = std::move(handler)](const BrokerMessage& message) {
-                      DispatchFramedMessage(name, scope, message, handler);
-                    });
-}
-
-Lineage PubSubShim::Publish(Region region, const std::string& topic, std::string_view payload,
+Lineage BrokerShim::Publish(Region region, const std::string& channel, std::string_view payload,
                             Lineage lineage) {
-  auto result = pubsub_->PublishWithKey(region, topic, FrameValue(lineage, payload));
-  lineage.Append(MakeWriteId(result.key, result.version));
+  lineage.Append(FramedPublish(region, channel, payload, lineage));
   return lineage;
 }
 
-Status PubSubShim::PublishCtx(Region region, const std::string& topic, std::string_view payload) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  LineageApi::Install(Publish(region, topic, payload, std::move(lineage)));
-  return Status::Ok();
+Status BrokerShim::PublishCtx(Region region, const std::string& channel,
+                              std::string_view payload) {
+  return LineageApi::AppendWrite([&](const Lineage& lineage) {
+    return FramedPublish(region, channel, payload, lineage);
+  });
 }
 
-void PubSubShim::Subscribe(Region region, const std::string& topic, ThreadPool* executor,
+void BrokerShim::Subscribe(Region region, const std::string& channel, ThreadPool* executor,
                            ShimMessageHandler handler) {
   const std::string name = store_name();
   const RegionMask scope = region_scope();
-  pubsub_->Subscribe(region, topic, executor,
+  broker_->Subscribe(region, channel, executor,
                      [name, scope, handler = std::move(handler)](const BrokerMessage& message) {
                        DispatchFramedMessage(name, scope, message, handler);
                      });

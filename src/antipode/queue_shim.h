@@ -28,41 +28,37 @@ struct ConsumedMessage {
 
 using ShimMessageHandler = std::function<void(const ConsumedMessage&)>;
 
-class QueueShim : public WatermarkShim {
+// The shim for both broker substrates: queues (QueueStore) and pub/sub
+// topics (PubSubStore) share one store-side delivery path (Broker), so one
+// shim fronts either.
+class BrokerShim : public WatermarkShim {
  public:
-  explicit QueueShim(QueueStore* store) : WatermarkShim(store), queue_(store) {}
+  explicit BrokerShim(Broker* broker) : WatermarkShim(broker), broker_(broker) {}
 
-  // ℒ' ← publish(queue, ⟨payload, ℒ⟩).
-  Lineage Publish(Region region, const std::string& queue, std::string_view payload,
+  // ℒ' ← publish(channel, ⟨payload, ℒ⟩).
+  Lineage Publish(Region region, const std::string& channel, std::string_view payload,
                   Lineage lineage);
-  Status PublishCtx(Region region, const std::string& queue, std::string_view payload);
+  Status PublishCtx(Region region, const std::string& channel, std::string_view payload);
 
   // Subscribes a consumer whose handler runs under a fresh RequestContext
   // carrying the message's lineage (so barrier/reads inside the handler see
   // the producer's dependencies).
-  void Subscribe(Region region, const std::string& queue, ThreadPool* executor,
+  void Subscribe(Region region, const std::string& channel, ThreadPool* executor,
                  ShimMessageHandler handler);
 
  private:
-  QueueStore* queue_;
+  // Publishes `payload` framed with `lineage`; returns the message's write
+  // identifier.
+  WriteId FramedPublish(Region region, const std::string& channel, std::string_view payload,
+                        const Lineage& lineage);
+
+  Broker* broker_;
 };
 
-class PubSubShim : public WatermarkShim {
- public:
-  explicit PubSubShim(PubSubStore* store) : WatermarkShim(store), pubsub_(store) {}
+using QueueShim = BrokerShim;
+using PubSubShim = BrokerShim;
 
-  Lineage Publish(Region region, const std::string& topic, std::string_view payload,
-                  Lineage lineage);
-  Status PublishCtx(Region region, const std::string& topic, std::string_view payload);
-
-  void Subscribe(Region region, const std::string& topic, ThreadPool* executor,
-                 ShimMessageHandler handler);
-
- private:
-  PubSubStore* pubsub_;
-};
-
-// Shared by both shims: decodes a broker message into payload + lineage and
+// Decodes a broker message into payload + lineage and
 // invokes `handler` under a context carrying that lineage. `scope` is the
 // broker store's locality scope, stamped onto the message's own write id
 // (Shim::region_scope of the subscribing shim).

@@ -15,8 +15,8 @@ Status SqlShim::InstrumentTable(const std::string& table, bool with_index) {
   return Status::Ok();
 }
 
-Result<Lineage> SqlShim::Insert(Region region, const std::string& table, Row row,
-                                Lineage lineage) {
+Result<WriteId> SqlShim::FramedInsert(Region region, const std::string& table, Row row,
+                                      const Lineage& lineage) {
   auto pk_column = sql_->PrimaryKeyColumn(table);
   if (!pk_column.ok()) {
     return pk_column.status();
@@ -30,15 +30,24 @@ Result<Lineage> SqlShim::Insert(Region region, const std::string& table, Row row
   if (!version.ok()) {
     return version.status();
   }
-  lineage.Append(MakeWriteId(SqlStore::RowKey(table, *pk), *version));
+  return MakeWriteId(SqlStore::RowKey(table, *pk), *version);
+}
+
+Result<Lineage> SqlShim::Insert(Region region, const std::string& table, Row row,
+                                Lineage lineage) {
+  auto id = FramedInsert(region, table, std::move(row), lineage);
+  if (!id.ok()) {
+    return id.status();
+  }
+  lineage.Append(std::move(*id));
   return lineage;
 }
 
 Result<SqlShim::ReadResult> SqlShim::SelectByPk(Region region, const std::string& table,
                                                 const Value& pk) const {
   const std::string key = SqlStore::RowKey(table, pk);
-  auto entry = sql_->Get(region, key);
-  if (!entry.has_value() || entry->bytes.empty()) {
+  EntryHandle entry = sql_->Get(region, key);
+  if (!entry || entry->bytes.empty()) {
     return Status::NotFound("sql read miss: " + key);
   }
   auto row = Row::Deserialize(entry->bytes);
@@ -60,13 +69,9 @@ Result<SqlShim::ReadResult> SqlShim::SelectByPk(Region region, const std::string
 }
 
 Status SqlShim::InsertCtx(Region region, const std::string& table, Row row) {
-  Lineage lineage = LineageApi::Current().value_or(Lineage());
-  auto updated = Insert(region, table, std::move(row), std::move(lineage));
-  if (!updated.ok()) {
-    return updated.status();
-  }
-  LineageApi::Install(*updated);
-  return Status::Ok();
+  return LineageApi::AppendWrite([&](const Lineage& lineage) {
+    return FramedInsert(region, table, std::move(row), lineage);
+  });
 }
 
 Result<Row> SqlShim::SelectByPkCtx(Region region, const std::string& table,

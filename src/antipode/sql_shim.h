@@ -36,6 +36,11 @@ class SqlShim : public WatermarkShim {
   Result<Row> SelectByPkCtx(Region region, const std::string& table, const Value& pk) const;
 
  private:
+  // Inserts `row` with `lineage` in its lineage column; returns the write's
+  // identifier.
+  Result<WriteId> FramedInsert(Region region, const std::string& table, Row row,
+                               const Lineage& lineage);
+
   SqlStore* sql_;
 };
 

@@ -46,17 +46,21 @@ void StoreVisibility::NoteApply(Region region, std::string_view key, uint64_t ve
   {
     std::lock_guard<std::mutex> lock(tracker.mu);
     if (seq < tracker.next_expected) return;  // duplicate notification
+    auto& pending = tracker.pending;
     if (seq != tracker.next_expected) {
-      tracker.pending.emplace(seq, hlc);
+      pending.emplace_back(seq, hlc);
+      std::push_heap(pending.begin(), pending.end(), std::greater<>());
       return;
     }
     uint64_t next = seq + 1;
     uint64_t frontier = hlc;
-    auto it = tracker.pending.begin();
-    while (it != tracker.pending.end() && it->first == next) {
-      ++next;
-      frontier = std::max(frontier, it->second);
-      it = tracker.pending.erase(it);
+    while (!pending.empty() && pending.front().first <= next) {
+      if (pending.front().first == next) {
+        ++next;
+        frontier = std::max(frontier, pending.front().second);
+      }  // else a duplicate of a seq the prefix already consumed
+      std::pop_heap(pending.begin(), pending.end(), std::greater<>());
+      pending.pop_back();
     }
     tracker.next_expected = next;
     const uint64_t watermark = next - 1;

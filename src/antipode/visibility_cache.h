@@ -48,6 +48,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -182,12 +183,15 @@ class StoreVisibility {
 
   // Tracks watermark advance for one region: seqs arrive out of order (per
   // key applies are ordered, cross-key they race), so the contiguous prefix
-  // is recovered through a pending seq → hlc map. Frontier waiters live here
+  // is recovered through `pending`, a min-heap of ⟨seq, hlc⟩ over a vector
+  // that keeps its capacity — an out-of-order apply allocates nothing in the
+  // steady state. Each seq carries one stamp, so a duplicate parked twice is
+  // simply discarded when the prefix passes it. Frontier waiters live here
   // too — they are woken by the same advance that could satisfy them.
   struct SeqTracker {
     std::mutex mu;
     uint64_t next_expected = 1;
-    std::map<uint64_t, uint64_t> pending;
+    std::vector<std::pair<uint64_t, uint64_t>> pending;  // heap, smallest seq on top
     std::vector<std::shared_ptr<FrontierWaiter>> frontier_waiters;
   };
 

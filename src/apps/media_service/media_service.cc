@@ -108,7 +108,7 @@ MediaServiceResult RunMediaService(const MediaServiceConfig& config) {
   } else {
     events.Subscribe(render_region, "review-events", &renderers,
                      [render](const BrokerMessage& message) {
-                       render(ConsumedMessage{message.payload, Lineage(),
+                       render(ConsumedMessage{std::string(message.payload()), Lineage(),
                                               message.delivered_at});
                      });
   }

@@ -201,7 +201,7 @@ class SnsNotifier final : public NotifierChannel {
     } else {
       store_.Subscribe(region, kTopic, executor,
                        [handler = std::move(handler)](const BrokerMessage& message) {
-                         handler(ConsumedMessage{message.payload, Lineage(),
+                         handler(ConsumedMessage{std::string(message.payload()), Lineage(),
                                                  message.delivered_at});
                        });
     }
@@ -236,7 +236,7 @@ class AmqNotifier final : public NotifierChannel {
     } else {
       store_.Subscribe(region, kQueue, executor,
                        [handler = std::move(handler)](const BrokerMessage& message) {
-                         handler(ConsumedMessage{message.payload, Lineage(),
+                         handler(ConsumedMessage{std::string(message.payload()), Lineage(),
                                                  message.delivered_at});
                        });
     }
@@ -265,8 +265,8 @@ class DynamoNotifier final : public NotifierChannel {
  public:
   DynamoNotifier(const std::string& name, std::vector<Region> regions)
       : store_(DynamoStore::NotifierOptions(name, std::move(regions))), shim_(&store_) {
-    store_.SetApplyHook([this](Region region, const StoredEntry& entry) {
-      OnApply(region, entry);
+    store_.SetApplyHook([this](Region region, const EntryHandle& entry) {
+      OnApply(region, *entry);
     });
   }
 

@@ -227,7 +227,7 @@ class SocialNetworkApp {
     } else {
       wht_queue_.Subscribe(config_.remote_region, kQueueName, &consumer_pool_,
                            [handler](const BrokerMessage& message) {
-                             handler(ConsumedMessage{message.payload, Lineage(),
+                             handler(ConsumedMessage{std::string(message.payload()), Lineage(),
                                                      message.delivered_at});
                            });
     }

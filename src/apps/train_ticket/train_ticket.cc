@@ -176,7 +176,7 @@ class TrainTicketApp {
     } else {
       task_queue_.Subscribe(Region::kLocal, kRefundQueue, &payment_pool_,
                             [process](const BrokerMessage& message) {
-                              process(message.payload);
+                              process(std::string(message.payload()));
                             });
     }
   }

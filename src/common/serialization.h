@@ -118,6 +118,9 @@ class Deserializer {
     return v;
   }
 
+  // Canonical LEB128 only: an encoding Serializer would never emit — a
+  // redundant trailing zero group, or bits past 2^64 — is rejected, so every
+  // accepted varint re-encodes to exactly the bytes it was read from.
   Result<uint64_t> ReadVarint() {
     uint64_t v = 0;
     int shift = 0;
@@ -126,16 +129,25 @@ class Deserializer {
         return TruncatedError();
       }
       const auto byte = static_cast<uint8_t>(data_[pos_++]);
-      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      const uint64_t group = byte & 0x7F;
+      if (shift == 63 && group > 1) {
+        return Status::OutOfRange("varint overflows 64 bits");
+      }
+      v |= group << shift;
       if ((byte & 0x80) == 0) {
+        if (byte == 0 && shift != 0) {
+          return Status::OutOfRange("non-canonical varint (redundant zero group)");
+        }
         return v;
       }
       shift += 7;
     }
   }
 
-  // All-or-nothing: a failed read leaves the position where it was.
-  Result<std::string> ReadString() {
+  // A length-prefixed string as a view into the input — no copy. The view is
+  // valid as long as the buffer this Deserializer reads. All-or-nothing: a
+  // failed read leaves the position where it was.
+  Result<std::string_view> ReadView() {
     const size_t start = pos_;
     auto len = ReadVarint();
     if (!len.ok()) {
@@ -148,9 +160,18 @@ class Deserializer {
       pos_ = start;
       return TruncatedError();
     }
-    std::string out(data_.substr(pos_, *len));
+    const std::string_view out = data_.substr(pos_, *len);
     pos_ += *len;
     return out;
+  }
+
+  // ReadView, copied into an owned string.
+  Result<std::string> ReadString() {
+    auto view = ReadView();
+    if (!view.ok()) {
+      return view.status();
+    }
+    return std::string(*view);
   }
 
   size_t Remaining() const { return data_.size() - pos_; }

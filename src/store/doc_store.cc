@@ -30,7 +30,7 @@ Result<uint64_t> DocStore::UpdateField(Region region, const std::string& collect
 size_t DocStore::CountCollection(Region region, const std::string& collection) const {
   size_t count = 0;
   for (const EntryHandle& handle : ScanPrefix(region, collection + "/")) {
-    if (!handle.entry().bytes.empty()) {
+    if (!handle->bytes.empty()) {
       ++count;
     }
   }
@@ -41,7 +41,7 @@ std::vector<Document> DocStore::FindWhere(Region region, const std::string& coll
                                           const std::string& field, const Value& value) const {
   std::vector<Document> out;
   for (const EntryHandle& handle : ScanPrefix(region, collection + "/")) {
-    auto doc = Document::Deserialize(handle.entry().bytes);
+    auto doc = Document::Deserialize(handle->bytes);
     if (!doc.ok()) {
       continue;
     }

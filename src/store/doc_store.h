@@ -33,7 +33,7 @@ class DocStore : public ReplicatedStore {
   std::optional<Document> FindById(Region region, const std::string& collection,
                                    const std::string& id) const {
     auto entry = Get(region, DocKey(collection, id));
-    if (!entry.has_value() || entry->bytes.empty()) {
+    if (!entry || entry->bytes.empty()) {
       return std::nullopt;
     }
     auto doc = Document::Deserialize(entry->bytes);

@@ -37,7 +37,7 @@ Result<uint64_t> DynamoStore::PutItem(Region region, const std::string& table,
 std::optional<Document> DynamoStore::GetItem(Region region, const std::string& table,
                                              const std::string& key) const {
   auto entry = Get(region, ItemKey(table, key));
-  if (!entry.has_value() || entry->bytes.empty()) {
+  if (!entry || entry->bytes.empty()) {
     return std::nullopt;
   }
   auto doc = Document::Deserialize(entry->bytes);
@@ -50,7 +50,7 @@ std::optional<Document> DynamoStore::GetItem(Region region, const std::string& t
 std::optional<Document> DynamoStore::GetItemConsistent(Region region, const std::string& table,
                                                        const std::string& key) const {
   auto entry = StrongGet(region, ItemKey(table, key));
-  if (!entry.has_value() || entry->bytes.empty()) {
+  if (!entry || entry->bytes.empty()) {
     return std::nullopt;
   }
   auto doc = Document::Deserialize(entry->bytes);

@@ -40,7 +40,7 @@ class KvStore : public ReplicatedStore {
 
   std::optional<std::string> GetValue(Region region, const std::string& key) const {
     auto entry = Get(region, key);
-    if (!entry.has_value() || entry->bytes.empty()) {
+    if (!entry || entry->bytes.empty()) {
       return std::nullopt;
     }
     return entry->bytes;
@@ -51,7 +51,7 @@ class KvStore : public ReplicatedStore {
 
   bool Exists(Region region, const std::string& key) const {
     auto entry = Get(region, key);
-    return entry.has_value() && !entry->bytes.empty();
+    return static_cast<bool>(entry) && !entry->bytes.empty();
   }
 
   // SET with expiry: the key is tombstoned everywhere after `ttl` elapses

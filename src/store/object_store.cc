@@ -7,8 +7,8 @@ std::vector<std::string> ObjectStore::ListObjects(Region region,
   std::vector<std::string> keys;
   const std::string prefix = bucket + "/";
   for (const EntryHandle& handle : ScanPrefix(region, prefix)) {
-    if (!handle.entry().bytes.empty()) {
-      keys.push_back(handle.entry().key.substr(prefix.size()));
+    if (!handle->bytes.empty()) {
+      keys.push_back(handle->key.substr(prefix.size()));
     }
   }
   return keys;

@@ -31,7 +31,7 @@ class ObjectStore : public ReplicatedStore {
   std::optional<std::string> GetObject(Region region, const std::string& bucket,
                                        const std::string& key) const {
     auto entry = Get(region, ObjectKey(bucket, key));
-    if (!entry.has_value() || entry->bytes.empty()) {
+    if (!entry || entry->bytes.empty()) {
       return std::nullopt;
     }
     return entry->bytes;

@@ -1,17 +1,6 @@
 #include "src/store/pubsub_store.h"
 
-#include "src/obs/metrics.h"
-#include "src/store/queue_store.h"
-
 namespace antipode {
-namespace {
-
-std::string TopicOfKey(const std::string& key) {
-  const size_t slash = key.rfind('/');
-  return slash == std::string::npos ? key : key.substr(0, slash);
-}
-
-}  // namespace
 
 ReplicatedStoreOptions PubSubStore::DefaultOptions(std::string name,
                                                    std::vector<Region> regions) {
@@ -24,55 +13,6 @@ ReplicatedStoreOptions PubSubStore::DefaultOptions(std::string name,
   options.replication.sigma = 0.55;
   options.replication.payload_millis_per_mib = 40.0;
   return options;
-}
-
-PubSubStore::PubSubStore(ReplicatedStoreOptions options, RegionTopology* topology,
-                         TimerService* timers)
-    : ReplicatedStore(std::move(options), topology, timers) {
-  SetApplyHook([this](Region region, const StoredEntry& entry) { OnApply(region, entry); });
-}
-
-void PubSubStore::Subscribe(Region region, const std::string& topic, ThreadPool* executor,
-                            MessageHandler handler) {
-  std::lock_guard<std::mutex> lock(subscribers_mu_);
-  subscribers_[{RegionIndex(region), topic}].emplace_back(executor, std::move(handler));
-}
-
-PubSubStore::PublishResult PubSubStore::PublishWithKey(Region origin, const std::string& topic,
-                                                       std::string payload) {
-  const uint64_t sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  std::string key = topic + "/" + std::to_string(sequence);
-  const uint64_t version = Put(origin, key, std::move(payload));
-  return PublishResult{std::move(key), version};
-}
-
-void PubSubStore::OnApply(Region region, const StoredEntry& entry) {
-  // Lost fan-out (subscriber crash before ack): redeliver after the ack
-  // timeout instead of losing the lineage-carrying notification.
-  if (fault_injector() != nullptr && fault_injector()->DropDelivery(name(), region)) {
-    MetricsRegistry::Default().GetCounter("queue.redeliveries", {{"store", name()}})->Increment();
-    auto copy = std::make_shared<const StoredEntry>(entry);
-    ScheduleStoreWork(TimeScale::FromModelMillis(kBrokerRedeliveryModelMillis),
-                      std::hash<std::string>{}(entry.key) ^ 0x5ca1ab1eULL,
-                      [this, region, copy] { OnApply(region, *copy); });
-    return;
-  }
-  std::vector<std::pair<ThreadPool*, MessageHandler>> targets;
-  const std::string topic = TopicOfKey(entry.key);
-  {
-    std::lock_guard<std::mutex> lock(subscribers_mu_);
-    auto it = subscribers_.find({RegionIndex(region), topic});
-    if (it == subscribers_.end()) {
-      return;
-    }
-    targets = it->second;
-  }
-  for (auto& [executor, handler] : targets) {
-    BrokerMessage message{topic,         entry.bytes,    entry.key,
-                          entry.version, region,         entry.trace_id,
-                          entry.parent_span_id};
-    executor->Submit([handler, message] { handler(message); });
-  }
 }
 
 }  // namespace antipode

@@ -1,56 +1,27 @@
 // SNS-like publish-subscribe: topics with fan-out to every subscriber in
 // every region. Unlike QueueStore's one-consumer-per-region queues, a topic
 // delivers each message to all of its subscribers; delivery to a region
-// happens when the message replicates there.
+// happens when the message replicates there. Delivery is the shared Broker
+// path (src/store/queue_store.h).
 
 #ifndef SRC_STORE_PUBSUB_STORE_H_
 #define SRC_STORE_PUBSUB_STORE_H_
 
-#include <atomic>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/store/queue_store.h"
-#include "src/store/replicated_store.h"
 
 namespace antipode {
 
-class PubSubStore : public ReplicatedStore {
+class PubSubStore : public Broker {
  public:
   static ReplicatedStoreOptions DefaultOptions(std::string name, std::vector<Region> regions);
 
   PubSubStore(ReplicatedStoreOptions options,
               RegionTopology* topology = &RegionTopology::Default(),
-              TimerService* timers = &TimerService::Shared());
-
-  // Drain while the subscriber map is still alive (the apply hook uses it).
-  ~PubSubStore() override { DrainReplication(); }
-
-  // Adds a subscriber for (region, topic); multiple subscribers per region
-  // all receive every message.
-  void Subscribe(Region region, const std::string& topic, ThreadPool* executor,
-                 MessageHandler handler);
-
-  uint64_t Publish(Region origin, const std::string& topic, std::string payload) {
-    return PublishWithKey(origin, topic, std::move(payload)).version;
-  }
-
-  struct PublishResult {
-    std::string key;
-    uint64_t version;
-  };
-  PublishResult PublishWithKey(Region origin, const std::string& topic, std::string payload);
-
- private:
-  void OnApply(Region region, const StoredEntry& entry);
-
-  std::atomic<uint64_t> next_sequence_{1};
-  mutable std::mutex subscribers_mu_;
-  std::map<std::pair<int, std::string>,
-           std::vector<std::pair<ThreadPool*, MessageHandler>>>
-      subscribers_;
+              TimerService* timers = &TimerService::Shared())
+      : Broker(std::move(options), topology, timers, /*fan_out=*/true) {}
 };
 
 }  // namespace antipode

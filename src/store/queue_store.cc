@@ -5,14 +5,10 @@
 namespace antipode {
 namespace {
 
-std::string MessageKey(const std::string& queue, uint64_t sequence) {
-  return queue + "/" + std::to_string(sequence);
-}
-
 // The channel name is the key prefix before the final '/'.
-std::string ChannelOfKey(const std::string& key) {
+std::string_view ChannelOfKey(std::string_view key) {
   const size_t slash = key.rfind('/');
-  return slash == std::string::npos ? key : key.substr(0, slash);
+  return slash == std::string_view::npos ? key : key.substr(0, slash);
 }
 
 }  // namespace
@@ -28,60 +24,65 @@ ReplicatedStoreOptions QueueStore::DefaultOptions(std::string name,
   return options;
 }
 
-QueueStore::QueueStore(ReplicatedStoreOptions options, RegionTopology* topology,
-                       TimerService* timers)
-    : ReplicatedStore(std::move(options), topology, timers) {
-  SetApplyHook([this](Region region, const StoredEntry& entry) { OnApply(region, entry); });
+Broker::Broker(ReplicatedStoreOptions options, RegionTopology* topology, TimerService* timers,
+               bool fan_out)
+    : ReplicatedStore(std::move(options), topology, timers), fan_out_(fan_out) {
+  SetApplyHook([this](Region region, const EntryHandle& message) { OnApply(region, message); });
 }
 
-void QueueStore::Subscribe(Region region, const std::string& queue, ThreadPool* executor,
-                           MessageHandler handler) {
+void Broker::Subscribe(Region region, const std::string& channel, ThreadPool* executor,
+                       MessageHandler handler) {
   std::lock_guard<std::mutex> lock(subscribers_mu_);
-  subscribers_[{RegionIndex(region), queue}] = {executor, std::move(handler)};
+  auto table = std::make_shared<SubscriberTable>(*subscribers_);
+  std::vector<Subscriber>& subscribers = (*table)[static_cast<size_t>(RegionIndex(region))][channel];
+  if (!fan_out_) {
+    subscribers.clear();
+  }
+  subscribers.push_back(Subscriber{executor, std::move(handler)});
+  subscribers_ = std::move(table);
 }
 
-uint64_t QueueStore::Publish(Region origin, const std::string& queue, std::string payload) {
-  return PublishWithKey(origin, queue, std::move(payload)).version;
-}
-
-QueueStore::PublishResult QueueStore::PublishWithKey(Region origin, const std::string& queue,
-                                                     std::string payload) {
+Broker::PublishResult Broker::PublishWithKey(Region origin, const std::string& channel,
+                                             std::string payload) {
   const uint64_t sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  std::string key = MessageKey(queue, sequence);
+  std::string key;
+  key.reserve(channel.size() + 21);  // '/' + up to 20 decimal digits
+  key.append(channel).push_back('/');
+  key.append(std::to_string(sequence));
   const uint64_t version = Put(origin, key, std::move(payload));
   return PublishResult{std::move(key), version};
 }
 
-void QueueStore::OnApply(Region region, const StoredEntry& entry) {
+void Broker::OnApply(Region region, const EntryHandle& message) {
   // Lost delivery (consumer crash before ack): schedule a redelivery instead
   // of losing the lineage-carrying message. The redelivery re-enters this
   // gate, so repeated drops redeliver again until the fault window closes.
   if (fault_injector() != nullptr && fault_injector()->DropDelivery(name(), region)) {
     MetricsRegistry::Default().GetCounter("queue.redeliveries", {{"store", name()}})->Increment();
-    auto copy = std::make_shared<const StoredEntry>(entry);
     ScheduleStoreWork(TimeScale::FromModelMillis(kBrokerRedeliveryModelMillis),
-                      std::hash<std::string>{}(entry.key) ^ 0x5ca1ab1eULL,
-                      [this, region, copy] { OnApply(region, *copy); });
+                      std::hash<std::string>{}(message->key) ^ 0x5ca1ab1eULL,
+                      [this, region, message] { OnApply(region, message); });
     return;
   }
-  ThreadPool* executor = nullptr;
-  MessageHandler handler;
-  const std::string channel = ChannelOfKey(entry.key);
+  std::shared_ptr<const SubscriberTable> table;
   {
     std::lock_guard<std::mutex> lock(subscribers_mu_);
-    auto it = subscribers_.find({RegionIndex(region), channel});
-    if (it == subscribers_.end()) {
-      return;
-    }
-    executor = it->second.first;
-    handler = it->second.second;
+    table = subscribers_;
   }
-  BrokerMessage message{channel,       entry.bytes,    entry.key,
-                        entry.version, region,         entry.trace_id,
-                        entry.parent_span_id};
-  executor->Submit([handler = std::move(handler), message = std::move(message)] {
-    handler(message);
-  });
+  const auto& channels = (*table)[static_cast<size_t>(RegionIndex(region))];
+  auto it = channels.find(ChannelOfKey(message->key));
+  if (it == channels.end()) {
+    return;
+  }
+  for (const Subscriber& subscriber : it->second) {
+    // The task co-owns the table its subscriber lives in (an aliasing
+    // pointer, no allocation), so a concurrent Subscribe or the broker's
+    // teardown cannot pull the handler out from under it.
+    subscriber.executor->Submit(
+        [subscriber = std::shared_ptr<const Subscriber>(table, &subscriber), message, region] {
+          subscriber->handler(BrokerMessage{message, region});
+        });
+  }
 }
 
 }  // namespace antipode

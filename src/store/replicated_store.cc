@@ -30,7 +30,7 @@ ReplicatedStore::KeyRecord& ReplicatedStore::RecordFor(Shard& shard, std::string
 
 bool ReplicatedStore::InstallLocked(KeyRecord& record, Region region, const EntryHandle& handle,
                                     std::vector<std::shared_ptr<Waiter>>& due) {
-  const uint64_t version = handle.entry().version;
+  const uint64_t version = handle->version;
   if (record.VersionAt(region) >= version) {
     // Heal replays and redeliveries are expected to race fresh applies;
     // the sweep must actually exercise this arm.
@@ -130,7 +130,7 @@ std::vector<EntryHandle> ReplicatedStore::ScanPrefix(Region region,
   }
   // Shards partition by hash; restore the global key order scans rely on.
   std::sort(out.begin(), out.end(), [](const EntryHandle& a, const EntryHandle& b) {
-    return a.entry().key < b.entry().key;
+    return a->key < b->key;
   });
   return out;
 }
@@ -255,7 +255,7 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
     visibility_->NoteApply(origin, entry.key, entry.version, entry.seq, entry.hlc);
   }
   if (apply_hook_) {
-    apply_hook_(origin, entry);
+    apply_hook_(origin, handle);
   }
 
   // Asynchronous shipping to the other replicas (precomputed remote list —
@@ -279,7 +279,7 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
     const bool scheduled = timers_->ScheduleAfter(
         TimeScale::FromModelMillis(lag_millis), ShipmentAffinity(key, destination),
         [this, destination, lag_millis, h = handle, inflight = inflight_]() mutable {
-          RecordReplicationSpan(destination, lag_millis, h.entry());
+          RecordReplicationSpan(destination, lag_millis, *h);
           ApplyAt(destination, h);
           h.Reset();
           // Only a decrement that reaches zero touches the drain lock; past
@@ -377,7 +377,7 @@ constexpr double kApplyRetryModelMillis = 5.0;
 void ReplicatedStore::ApplyAt(Region region, const EntryHandle& handle) {
   FaultInjector* injector = options_.fault_injector;
   if (injector != nullptr) {
-    const StoredEntry& entry = handle.entry();
+    const StoredEntry& entry = *handle;
     const StallDecision stall = injector->StoreStall(options_.name, entry.origin, region);
     if (stall.stalled) {
       BufferStalled(region, handle, stall);
@@ -470,7 +470,7 @@ void ReplicatedStore::ReplayBacklog(Region region) {
 }
 
 void ReplicatedStore::ApplyReplicated(Region region, const EntryHandle& handle) {
-  const StoredEntry& entry = handle.entry();
+  const StoredEntry& entry = *handle;
   // The hybrid half of the HLC: fold the remote stamp into the local clock so
   // later local stamps dominate it (a no-op while every replica of one store
   // shares the store's region-group clock, but it keeps the protocol honest).
@@ -495,7 +495,7 @@ void ReplicatedStore::ApplyReplicated(Region region, const EntryHandle& handle) 
     visibility_->NoteApply(region, entry.key, entry.version, entry.seq, entry.hlc);
   }
   if (apply_hook_) {
-    apply_hook_(region, entry);
+    apply_hook_(region, handle);
   }
 }
 
@@ -551,7 +551,7 @@ void ReplicatedStore::DrainReplication() const {
              [this] { return inflight_->count.load(std::memory_order_acquire) == 0; });
 }
 
-std::optional<StoredEntry> ReplicatedStore::Get(Region region, const std::string& key) const {
+EntryHandle ReplicatedStore::Get(Region region, const std::string& key) const {
   assert(HasRegion(region) && "read at a region without a replica");
   EntryHandle handle;
   {
@@ -563,14 +563,10 @@ std::optional<StoredEntry> ReplicatedStore::Get(Region region, const std::string
     }
   }
   const_cast<StoreMetrics&>(metrics_).RecordRead(static_cast<bool>(handle));
-  if (!handle) {
-    return std::nullopt;
-  }
-  return handle.entry();
+  return handle;
 }
 
-std::optional<StoredEntry> ReplicatedStore::StrongGet(Region caller,
-                                                      const std::string& key) const {
+EntryHandle ReplicatedStore::StrongGet(Region caller, const std::string& key) const {
   EntryHandle latest;
   {
     Shard& shard = ShardFor(key);
@@ -582,14 +578,11 @@ std::optional<StoredEntry> ReplicatedStore::StrongGet(Region caller,
   }
   // Pay the WAN round trip to the authoritative copy (the key's origin); a
   // miss still costs the probe.
-  const Region authority_region = latest ? latest.entry().origin : caller;
+  const Region authority_region = latest ? latest->origin : caller;
   SimulatedNetwork::Default().SleepRtt(caller, authority_region, 64,
-                                       latest ? latest.entry().bytes.size() : 0);
+                                       latest ? latest->bytes.size() : 0);
   const_cast<StoreMetrics&>(metrics_).RecordRead(static_cast<bool>(latest));
-  if (!latest) {
-    return std::nullopt;
-  }
-  return latest.entry();
+  return latest;
 }
 
 bool ReplicatedStore::IsVisible(Region region, const std::string& key, uint64_t version) const {

@@ -96,10 +96,11 @@ struct EntryBlock {
 // pool but is always safe against this one.
 ObjectPool<EntryBlock>& EntryBlockPool();
 
-// An 8-byte refcounted handle to a pooled entry — the thing shipment lambdas
-// capture instead of a shared_ptr<const StoredEntry>. Copying bumps the
-// intrusive count; the last Reset()/destructor returns the block (strings and
-// all) to EntryBlockPool for reuse.
+// An 8-byte refcounted handle to a pooled entry — what shipment lambdas,
+// reads (Get/StrongGet) and broker deliveries hold instead of a copy of the
+// entry. Copying bumps the intrusive count; the last Reset()/destructor
+// returns the block (strings and all) to EntryBlockPool for reuse. The pool
+// is process-lifetime, so a handle stays readable after its store is gone.
 class EntryHandle {
  public:
   EntryHandle() = default;
@@ -137,7 +138,8 @@ class EntryHandle {
     block_ = nullptr;
   }
 
-  const StoredEntry& entry() const { return block_->entry; }
+  const StoredEntry& operator*() const { return block_->entry; }
+  const StoredEntry* operator->() const { return &block_->entry; }
   explicit operator bool() const { return block_ != nullptr; }
 
  private:
@@ -208,12 +210,14 @@ class ReplicatedStore {
   uint64_t Put(Region origin, const std::string& key, std::string bytes,
                size_t extra_overhead_bytes = 0);
 
-  // Local read from the region's replica. Eventually consistent.
-  std::optional<StoredEntry> Get(Region region, const std::string& key) const;
+  // Local read from the region's replica. Eventually consistent. Returns a
+  // handle to the applied entry (empty on a miss): the read copies nothing.
+  EntryHandle Get(Region region, const std::string& key) const;
 
-  // Strongly consistent read: fetches the authoritative latest copy,
-  // paying a WAN round trip from `caller` to the key's origin region.
-  std::optional<StoredEntry> StrongGet(Region caller, const std::string& key) const;
+  // Strongly consistent read: a handle to the authoritative latest entry
+  // (empty on a miss), paying a WAN round trip from `caller` to the key's
+  // origin region.
+  EntryHandle StrongGet(Region caller, const std::string& key) const;
 
   bool IsVisible(Region region, const std::string& key, uint64_t version) const;
 
@@ -270,9 +274,10 @@ class ReplicatedStore {
   WakeupStats TotalWakeups() const;
 
   // Hook invoked (on the timer thread) every time an entry becomes visible at
-  // a region — including the synchronous local apply. Queue/pub-sub layers
-  // use it to trigger delivery. Set before concurrent use.
-  using ApplyHook = std::function<void(Region, const StoredEntry&)>;
+  // a region — including the synchronous local apply — with a handle to the
+  // applied entry, which the hook may keep. Queue/pub-sub layers use it to
+  // trigger delivery. Set before concurrent use.
+  using ApplyHook = std::function<void(Region, const EntryHandle&)>;
   void SetApplyHook(ApplyHook hook) { apply_hook_ = std::move(hook); }
 
   // Blocks until every scheduled replication apply has fired (in simulation:
@@ -327,7 +332,7 @@ class ReplicatedStore {
 
     uint64_t VersionAt(Region region) const {
       const EntryHandle& h = applied[static_cast<size_t>(RegionIndex(region))];
-      return h ? h.entry().version : 0;
+      return h ? h->version : 0;
     }
   };
 

@@ -125,7 +125,7 @@ Result<uint64_t> SqlStore::Insert(Region region, const std::string& table, const
 std::optional<Row> SqlStore::SelectByPk(Region region, const std::string& table,
                                         const Value& pk) const {
   auto entry = Get(region, RowKey(table, pk));
-  if (!entry.has_value() || entry->bytes.empty()) {
+  if (!entry || entry->bytes.empty()) {
     return std::nullopt;
   }
   auto row = Row::Deserialize(entry->bytes);
@@ -139,7 +139,7 @@ std::vector<Row> SqlStore::SelectWhere(Region region, const std::string& table,
                                        const std::string& column, const Value& value) const {
   std::vector<Row> out;
   for (const EntryHandle& handle : ScanPrefix(region, table + "/")) {
-    auto row = Row::Deserialize(handle.entry().bytes);
+    auto row = Row::Deserialize(handle->bytes);
     if (!row.ok()) {
       continue;
     }

@@ -210,5 +210,85 @@ TEST(LineageApiTest, NestedContextsHaveIndependentLineages) {
   EXPECT_FALSE(LineageApi::Current()->Contains(Id("inner")));
 }
 
+// ---- AppendWrite: the *Ctx write contract ------------------------------------
+
+// The write frames from the context's own lineage object (no copy), and the
+// new dependency lands in that lineage in place.
+TEST(LineageApiTest, AppendWriteFramesTheCurrentLineageByReference) {
+  ScopedContext scoped(RequestContext(1));
+  const uint64_t id = LineageApi::Root().id();
+  LineageApi::Append(Id("prior"));
+  const void* installed = RequestContext::Current()->NativeObject();
+  const void* framed = nullptr;
+  Status status = LineageApi::AppendWrite([&](const Lineage& lineage) {
+    framed = &lineage;
+    EXPECT_TRUE(lineage.Contains(Id("prior")));
+    EXPECT_FALSE(lineage.Contains(Id("new")));
+    return Id("new");
+  });
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(framed, installed);
+  EXPECT_EQ(RequestContext::Current()->NativeObject(), installed);  // unshared: no clone
+  auto current = LineageApi::Current();
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(current->id(), id);
+  EXPECT_EQ(current->Size(), 2u);
+  EXPECT_TRUE(current->Contains(Id("new")));
+}
+
+TEST(LineageApiTest, AppendWriteWithoutLineageInstallsExactlyTheNewDep) {
+  ScopedContext scoped(RequestContext(1));
+  Status status = LineageApi::AppendWrite([](const Lineage& lineage) {
+    EXPECT_TRUE(lineage.Empty());
+    return Id("k", 7);
+  });
+  EXPECT_TRUE(status.ok());
+  auto current = LineageApi::Current();
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(current->id(), 0u);
+  EXPECT_EQ(current->Size(), 1u);
+  EXPECT_TRUE(current->Contains(Id("k", 7)));
+}
+
+TEST(LineageApiTest, AppendWriteWithoutContextInstallsNothing) {
+  bool wrote = false;
+  Status status = LineageApi::AppendWrite([&](const Lineage& lineage) {
+    wrote = true;
+    EXPECT_TRUE(lineage.Empty());
+    return Id("k");
+  });
+  EXPECT_TRUE(status.ok());
+  EXPECT_TRUE(wrote);
+  EXPECT_EQ(RequestContext::Current(), nullptr);
+  EXPECT_EQ(LineageApi::Current(), std::nullopt);
+}
+
+// Copy-on-write: a context copied from another shares its lineage object, and
+// a write in the copy must clone it rather than mutate the original's.
+TEST(LineageApiTest, AppendWriteOnCopiedContextLeavesTheOriginalUnchanged) {
+  ScopedContext original(RequestContext(1));
+  LineageApi::Root();
+  LineageApi::Append(Id("shared"));
+  {
+    ScopedContext copy(*RequestContext::Current());
+    ASSERT_TRUE(LineageApi::AppendWrite([](const Lineage&) { return Id("new"); }).ok());
+    EXPECT_EQ(LineageApi::Current()->Size(), 2u);
+    EXPECT_TRUE(LineageApi::Current()->Contains(Id("new")));
+  }
+  auto current = LineageApi::Current();
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(current->Size(), 1u);
+  EXPECT_TRUE(current->Contains(Id("shared")));
+  EXPECT_FALSE(current->Contains(Id("new")));
+}
+
+TEST(LineageApiTest, AppendWriteErrorLeavesTheLineageUntouched) {
+  ScopedContext scoped(RequestContext(1));
+  Status status = LineageApi::AppendWrite(
+      [](const Lineage&) -> Result<WriteId> { return Status::Unavailable("store down"); });
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(LineageApi::Current(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace antipode

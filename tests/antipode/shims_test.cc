@@ -260,6 +260,133 @@ TEST_F(ShimsTest, PubSubShimPublishCtxAppendsMessageId) {
   EXPECT_EQ(LineageApi::Current()->DepsForStore("pss1").size(), 1u);
 }
 
+// ---- *Ctx writes: frame by reference, append in place -------------------------
+
+// One context-bound write of every shim, each against its own store. The
+// `*Ctx` contract is shared (LineageApi::AppendWrite), so all seven must
+// behave alike.
+class CtxWriterBed {
+ public:
+  struct Writer {
+    std::string shim;
+    std::function<Status()> write;
+    WriteId id;  // the dependency the write appends
+  };
+
+  explicit CtxWriterBed(const std::string& tag)
+      : kv_(KvStore::DefaultOptions("ctx-kv-" + tag, kRegions)),
+        queue_(QueueStore::DefaultOptions("ctx-queue-" + tag, kRegions)),
+        pubsub_(PubSubStore::DefaultOptions("ctx-pubsub-" + tag, kRegions)),
+        docs_(DocStore::DefaultOptions("ctx-doc-" + tag, kRegions)),
+        objects_(ObjectStore::DefaultOptions("ctx-object-" + tag, kRegions)),
+        sql_(SqlStore::DefaultOptions("ctx-sql-" + tag, kRegions)),
+        dynamo_(DynamoStore::DefaultOptions("ctx-dynamo-" + tag, kRegions)),
+        kv_shim_(&kv_),
+        queue_shim_(&queue_),
+        pubsub_shim_(&pubsub_),
+        doc_shim_(&docs_),
+        object_shim_(&objects_),
+        sql_shim_(&sql_),
+        dynamo_shim_(&dynamo_) {
+    sql_.CreateTable("posts", {"id", "text"}, "id");
+    EXPECT_TRUE(sql_shim_.InstrumentTable("posts", /*with_index=*/false).ok());
+  }
+
+  std::vector<Writer> writers() {
+    return {
+        {"kv", [this] { return kv_shim_.WriteCtx(Region::kUs, "post-key", "v"); },
+         kv_shim_.MakeWriteId("post-key", 1)},
+        {"queue", [this] { return queue_shim_.PublishCtx(Region::kUs, "jobs", "m"); },
+         queue_shim_.MakeWriteId("jobs/1", 1)},
+        {"pubsub", [this] { return pubsub_shim_.PublishCtx(Region::kUs, "topic", "m"); },
+         pubsub_shim_.MakeWriteId("topic/1", 1)},
+        {"doc",
+         [this] {
+           return doc_shim_.InsertDocCtx(Region::kUs, "posts", "p1", Document{{"a", Value("1")}});
+         },
+         doc_shim_.MakeWriteId("posts/p1", 1)},
+        {"object", [this] { return object_shim_.PutObjectCtx(Region::kUs, "b", "k", "bytes"); },
+         object_shim_.MakeWriteId("b/k", 1)},
+        {"sql",
+         [this] {
+           return sql_shim_.InsertCtx(Region::kUs, "posts",
+                                      Row{{"id", Value("p1")}, {"text", Value("t")}});
+         },
+         sql_shim_.MakeWriteId("posts/p1", 1)},
+        {"dynamo",
+         [this] {
+           return dynamo_shim_.PutItemCtx(Region::kUs, "t", "k", Document{{"a", Value("1")}});
+         },
+         dynamo_shim_.MakeWriteId("t/k", 1)},
+    };
+  }
+
+ private:
+  KvStore kv_;
+  QueueStore queue_;
+  PubSubStore pubsub_;
+  DocStore docs_;
+  ObjectStore objects_;
+  SqlStore sql_;
+  DynamoStore dynamo_;
+  KvShim kv_shim_;
+  QueueShim queue_shim_;
+  PubSubShim pubsub_shim_;
+  DocShim doc_shim_;
+  ObjectShim object_shim_;
+  SqlShim sql_shim_;
+  DynamoShim dynamo_shim_;
+};
+
+TEST_F(ShimsTest, CtxWriteWithoutLineageInstallsExactlyTheNewDep) {
+  CtxWriterBed bed("nolineage");
+  for (const auto& writer : bed.writers()) {
+    SCOPED_TRACE(writer.shim);
+    ScopedContext scoped(RequestContext(1));  // a context, but no lineage in it
+    ASSERT_TRUE(writer.write().ok());
+    auto current = LineageApi::Current();
+    ASSERT_TRUE(current.has_value());
+    EXPECT_EQ(current->Size(), 1u);
+    EXPECT_TRUE(current->Contains(writer.id));
+    EXPECT_EQ(current->deps().front().scope, writer.id.scope);
+  }
+}
+
+TEST_F(ShimsTest, CtxWriteWithoutContextInstallsNothing) {
+  CtxWriterBed bed("nocontext");
+  for (const auto& writer : bed.writers()) {
+    SCOPED_TRACE(writer.shim);
+    ASSERT_EQ(RequestContext::Current(), nullptr);
+    EXPECT_TRUE(writer.write().ok());
+    EXPECT_EQ(LineageApi::Current(), std::nullopt);
+  }
+}
+
+TEST_F(ShimsTest, CtxWriteOnCopiedContextLeavesTheOriginalUnchanged) {
+  CtxWriterBed bed("copied");
+  const WriteId prior{"upstream", "u", 3};
+  for (const auto& writer : bed.writers()) {
+    SCOPED_TRACE(writer.shim);
+    ScopedContext original(RequestContext(1));
+    LineageApi::Root();
+    LineageApi::Append(prior);
+    {
+      // The copy shares the original's lineage object until one of them writes.
+      ScopedContext copy(*RequestContext::Current());
+      ASSERT_TRUE(writer.write().ok());
+      auto written = LineageApi::Current();
+      ASSERT_TRUE(written.has_value());
+      EXPECT_EQ(written->Size(), 2u);
+      EXPECT_TRUE(written->Contains(prior));
+      EXPECT_TRUE(written->Contains(writer.id));
+    }
+    auto untouched = LineageApi::Current();
+    ASSERT_TRUE(untouched.has_value());
+    EXPECT_EQ(untouched->Size(), 1u);
+    EXPECT_TRUE(untouched->Contains(prior));
+  }
+}
+
 // ---- ShimRegistry --------------------------------------------------------------
 
 TEST_F(ShimsTest, RegistryRegisterLookupUnregister) {

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/antipode/barrier.h"
 #include "src/antipode/kv_shim.h"
+#include "src/common/random.h"
 #include "src/obs/metrics.h"
 #include "src/store/kv_store.h"
 
@@ -69,6 +74,99 @@ TEST_F(VisibilityCacheTest, WatermarkAdvancesOnContiguousPrefix) {
   // Duplicate notifications do not double-advance.
   vis.NoteApply(Region::kUs, "b", 1, 2);
   EXPECT_EQ(vis.watermark(Region::kUs), 3u);
+}
+
+// The ordered-map algorithm the tracker's min-heap replaced, kept as the
+// reference model: seqs park until the contiguous prefix reaches them, and
+// the frontier is the highest stamp in that prefix (hlc 0 = unstamped).
+struct SeqTrackerModel {
+  uint64_t next_expected = 1;
+  std::map<uint64_t, uint64_t> pending;
+  uint64_t watermark = 0;
+  uint64_t frontier = 0;
+
+  void Apply(uint64_t seq, uint64_t hlc) {
+    if (seq < next_expected) return;
+    if (seq != next_expected) {
+      pending.emplace(seq, hlc);
+      return;
+    }
+    uint64_t next = seq + 1;
+    frontier = std::max(frontier, hlc);
+    for (auto it = pending.begin(); it != pending.end() && it->first == next;
+         it = pending.erase(it)) {
+      ++next;
+      frontier = std::max(frontier, it->second);
+    }
+    next_expected = next;
+    watermark = next - 1;
+  }
+  bool Covers(uint64_t cut, uint64_t issued) const {
+    return frontier >= cut || watermark >= issued;
+  }
+};
+
+// Seeded differential test of the watermark tracker: shuffled seqs with gaps,
+// duplicates and unstamped writes must move watermark and frontier exactly as
+// the model does after every call, and frontier waiters must fire at the same
+// step the model's condition first holds.
+TEST_F(VisibilityCacheTest, SeqTrackerMatchesOrderedMapModel) {
+  constexpr uint64_t kSeqs = 600;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Stamps climb with seq; about a fifth of the writes are unstamped.
+    std::vector<uint64_t> hlc(kSeqs + 1, 0);
+    uint64_t stamp = 1000;
+    for (uint64_t seq = 1; seq <= kSeqs; ++seq) {
+      stamp += 1 + rng.NextBelow(5);
+      hlc[seq] = rng.NextBelow(5) == 0 ? 0 : stamp;
+    }
+    // Arrival order: every seq displaced by a random jitter (gaps that fill
+    // later), about a tenth delivered twice, and on odd seeds the last few
+    // never delivered (a gap that stays open, so only the frontier can cover).
+    const uint64_t delivered = seed % 2 == 1 ? kSeqs - 5 : kSeqs;
+    std::vector<std::pair<uint64_t, uint64_t>> arrivals;  // (arrival time, seq)
+    for (uint64_t seq = 1; seq <= delivered; ++seq) {
+      arrivals.emplace_back(seq * 4 + rng.NextBelow(64), seq);
+      if (rng.NextBelow(10) == 0) {
+        arrivals.emplace_back(seq * 4 + rng.NextBelow(256), seq);
+      }
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+
+    StoreVisibility vis("tracker-model", {Region::kUs});
+    vis.NoteIssued(kSeqs, hlc[kSeqs]);
+    SeqTrackerModel model;
+    struct Waiter {
+      uint64_t cut;
+      int model_step;
+      std::shared_ptr<int> fired_step;
+    };
+    std::vector<Waiter> waiters;
+    int step = 0;
+    for (const auto& [arrival, seq] : arrivals) {
+      ++step;
+      if (rng.NextBelow(8) == 0) {
+        const uint64_t cut = 1000 + rng.NextBelow(stamp - 1000 + 16);
+        auto fired = std::make_shared<int>(-1);
+        auto waiter = vis.AwaitFrontier(Region::kUs, cut, [fired, &step](Status status) {
+          EXPECT_TRUE(status.ok());
+          *fired = step;
+        });
+        if (waiter == nullptr) *fired = step;  // already covered at registration
+        waiters.push_back({cut, model.Covers(cut, kSeqs) ? step : -1, fired});
+      }
+      vis.NoteApply(Region::kUs, "k" + std::to_string(seq), 1, seq, hlc[seq]);
+      model.Apply(seq, hlc[seq]);
+      ASSERT_EQ(vis.watermark(Region::kUs), model.watermark) << "step " << step;
+      ASSERT_EQ(vis.FrontierHlc(Region::kUs), model.frontier) << "step " << step;
+      for (Waiter& waiter : waiters) {
+        if (waiter.model_step < 0 && model.Covers(waiter.cut, kSeqs)) waiter.model_step = step;
+        ASSERT_EQ(*waiter.fired_step, waiter.model_step) << "cut " << waiter.cut;
+      }
+    }
+  }
 }
 
 TEST_F(VisibilityCacheTest, WatermarkCoversOldWritesOfAKey) {

@@ -136,7 +136,7 @@ TEST_P(XcyPropertyTest, ReplicaVersionsNeverRegress) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (last_seen < kVersions && std::chrono::steady_clock::now() < deadline) {
     auto entry = store.Get(Region::kEu, "hot");
-    if (entry.has_value()) {
+    if (static_cast<bool>(entry)) {
       EXPECT_GE(entry->version, last_seen);
       last_seen = std::max(last_seen, entry->version);
     }

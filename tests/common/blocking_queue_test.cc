@@ -78,6 +78,21 @@ TEST(BlockingQueueTest, PopWithTimeoutReturnsItem) {
   EXPECT_EQ(q.PopWithTimeout(Millis(30)), 9);
 }
 
+// Items stay FIFO while the ring wraps around and while it grows with its
+// live region split across the wrap point.
+TEST(BlockingQueueTest, FifoAcrossWrapAndGrowth) {
+  BlockingQueue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 10 + round; ++i) q.Push(next_in++);
+    for (int i = 0; i < 9 + round / 2; ++i) EXPECT_EQ(q.TryPop(), next_out++);
+  }
+  EXPECT_EQ(q.Size(), static_cast<size_t>(next_in - next_out));
+  while (next_out < next_in) EXPECT_EQ(q.TryPop(), next_out++);
+  EXPECT_EQ(q.TryPop(), std::nullopt);
+}
+
 TEST(BlockingQueueTest, BlockedPushUnblocksOnPop) {
   BlockingQueue<int> q(1);
   q.Push(1);

@@ -55,9 +55,9 @@ struct Recorder {
 };
 
 void Attach(KvStore& store, Recorder& recorder) {
-  store.SetApplyHook([&recorder](Region region, const StoredEntry& entry) {
+  store.SetApplyHook([&recorder](Region region, const EntryHandle& entry) {
     std::lock_guard<std::mutex> lock(recorder.mu);
-    recorder.applied[{RegionIndex(region), entry.key}].push_back(entry.version);
+    recorder.applied[{RegionIndex(region), entry->key}].push_back(entry->version);
   });
 }
 
@@ -159,8 +159,8 @@ uint64_t RunWindowEpisode(uint64_t seed) {
     for (uint64_t k = 0; k < num_keys; ++k) {
       const std::string key = "k" + std::to_string(k);
       const auto entry = store.Get(region, key);
-      EXPECT_TRUE(entry.has_value());
-      if (!entry.has_value()) {
+      EXPECT_TRUE(static_cast<bool>(entry));
+      if (!static_cast<bool>(entry)) {
         continue;
       }
       EXPECT_EQ(entry->version, writes_per_key);

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
+#include <optional>
+#include <tuple>
 
 #include "src/common/thread_pool.h"
+#include "src/fault/fault_injector.h"
+#include "src/obs/metrics.h"
 #include "src/store/pubsub_store.h"
 #include "src/store/queue_store.h"
 
@@ -40,7 +46,7 @@ TEST_F(BrokersTest, QueueDeliversLocallyImmediately) {
   queue.Subscribe(Region::kUs, "jobs", &pool, [&](const BrokerMessage& message) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      payload = message.payload;
+      payload = message.payload();
     }
     received.fetch_add(1);
   });
@@ -92,7 +98,7 @@ TEST_F(BrokersTest, QueuePreservesPerChannelOrderLocally) {
   std::vector<std::string> order;
   queue.Subscribe(Region::kUs, "seq", &pool, [&](const BrokerMessage& message) {
     std::lock_guard<std::mutex> lock(mu);
-    order.push_back(message.payload);
+    order.push_back(std::string(message.payload()));
   });
   for (int i = 0; i < 10; ++i) {
     queue.Publish(Region::kUs, "seq", std::to_string(i));
@@ -120,7 +126,7 @@ TEST_F(BrokersTest, QueueMessageWithoutSubscriberIsDurable) {
   QueueStore queue(QueueStore::DefaultOptions("q6", kRegions));
   auto result = queue.PublishWithKey(Region::kUs, "unwatched", "data");
   auto entry = queue.Get(Region::kUs, result.key);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_EQ(entry->bytes, "data");
 }
 
@@ -182,6 +188,122 @@ TEST_F(BrokersTest, ManyMessagesAllDelivered) {
   }
   EXPECT_TRUE(WaitUntil([&] { return received.load() == 200; }, std::chrono::seconds(10)));
   pool.Shutdown();
+}
+
+// Two subscribers in one region each see every message exactly once, and
+// each delivery reads the published payload, key and version through its
+// handle.
+TEST_F(BrokersTest, PubSubTwoSubscribersEachGetEachMessageOnce) {
+  PubSubStore pubsub(PubSubStore::DefaultOptions("ps4", kRegions));
+  ThreadPool pool(2, "subs");
+  struct Seen {
+    std::mutex mu;
+    std::map<std::string, std::pair<std::string, uint64_t>> messages;  // key -> payload, version
+    int duplicates = 0;
+  };
+  Seen seen[2];
+  for (Seen& s : seen) {
+    pubsub.Subscribe(Region::kUs, "topic", &pool, [&s](const BrokerMessage& message) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      const bool fresh =
+          s.messages.emplace(message.key(), std::make_pair(std::string(message.payload()),
+                                                            message.version()))
+              .second;
+      s.duplicates += fresh ? 0 : 1;
+    });
+  }
+  constexpr int kMessages = 50;
+  std::map<std::string, std::pair<std::string, uint64_t>> published;
+  for (int i = 0; i < kMessages; ++i) {
+    // Long enough that neither key nor payload fits a short-string buffer.
+    std::string payload = "notification-payload-" + std::to_string(i);
+    auto result = pubsub.PublishWithKey(Region::kUs, "topic", payload);
+    published[result.key] = {payload, result.version};
+  }
+  EXPECT_TRUE(WaitUntil([&] {
+    for (Seen& s : seen) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (s.messages.size() < kMessages) return false;
+    }
+    return true;
+  }));
+  pubsub.DrainReplication();
+  pool.Shutdown();
+  for (Seen& s : seen) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    EXPECT_EQ(s.duplicates, 0);
+    EXPECT_EQ(s.messages, published);
+  }
+}
+
+// A delivery dropped by the fault injector is redelivered after the ack
+// timeout with the very bytes that were published, exactly once.
+TEST_F(BrokersTest, RedeliveryAfterDropDeliversIdenticalBytes) {
+  FaultInjector injector;
+  ReplicatedStoreOptions options = QueueStore::DefaultOptions("q8", kRegions);
+  options.fault_injector = &injector;
+  QueueStore queue(std::move(options));
+  FaultRule drop;
+  drop.kind = FaultKind::kQueueDropDelivery;
+  drop.store = "q8";
+  drop.to = Region::kUs;
+  injector.Arm(FaultPlan{"drop-us", 1, {drop}});
+
+  ThreadPool pool(1, "consumer");
+  std::mutex mu;
+  std::vector<std::tuple<std::string, std::string, uint64_t>> delivered;
+  queue.Subscribe(Region::kUs, "jobs", &pool, [&](const BrokerMessage& message) {
+    std::lock_guard<std::mutex> lock(mu);
+    delivered.emplace_back(std::string(message.payload()), message.key(), message.version());
+  });
+  const std::string payload("binary\0payload-with-a-nul-and-enough-bytes-to-spill", 51);
+  auto result = queue.PublishWithKey(Region::kUs, "jobs", payload);
+  Counter* redeliveries =
+      MetricsRegistry::Default().GetCounter("queue.redeliveries", {{"store", "q8"}});
+  EXPECT_TRUE(WaitUntil([&] { return redeliveries->value() >= 1; }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(delivered.empty());  // the first delivery was dropped
+  }
+  injector.Disarm();
+  EXPECT_TRUE(WaitUntil([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return !delivered.empty();
+  }));
+  queue.DrainReplication();
+  pool.Shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(std::get<0>(delivered[0]), payload);
+  EXPECT_EQ(std::get<1>(delivered[0]), result.key);
+  EXPECT_EQ(std::get<2>(delivered[0]), result.version);
+}
+
+// A delivered message and a Get result are handles to the stored entry;
+// both stay readable after the store that produced them is destroyed.
+TEST_F(BrokersTest, MessageAndGetHandlesOutliveTheirStore) {
+  std::optional<BrokerMessage> kept;
+  EntryHandle read;
+  const std::string payload(64, 'p');
+  {
+    ThreadPool pool(1, "consumer");
+    std::mutex mu;
+    PubSubStore pubsub(PubSubStore::DefaultOptions("ps5", kRegions));
+    pubsub.Subscribe(Region::kUs, "t", &pool, [&](const BrokerMessage& message) {
+      std::lock_guard<std::mutex> lock(mu);
+      kept = message;
+    });
+    auto result = pubsub.PublishWithKey(Region::kUs, "t", payload);
+    read = pubsub.Get(Region::kUs, result.key);
+    pool.Shutdown();  // runs the delivery
+  }
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->payload(), payload);
+  EXPECT_EQ(kept->key(), "t/1");
+  EXPECT_EQ(kept->version(), 1u);
+  ASSERT_TRUE(read);
+  EXPECT_EQ(read->bytes, payload);
+  EXPECT_EQ(read->key, "t/1");
 }
 
 }  // namespace

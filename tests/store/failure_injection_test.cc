@@ -95,7 +95,7 @@ TEST_F(FailureInjectionTest, StrongReadsUnaffectedByStall) {
   store.fault_injector()->PauseStore(store.name(), Region::kEu);
   store.Set(Region::kUs, "k", "v");
   auto entry = store.StrongGet(Region::kEu, "k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_EQ(entry->bytes, "v");
   store.fault_injector()->ResumeStore(store.name(), Region::kEu);
 }

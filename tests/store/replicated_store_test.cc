@@ -53,7 +53,7 @@ TEST_F(ReplicatedStoreTest, WriteIsImmediatelyVisibleAtOrigin) {
   const uint64_t version = store.Put(Region::kUs, "k", "v");
   EXPECT_EQ(version, 1u);
   auto entry = store.Get(Region::kUs, "k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_EQ(entry->bytes, "v");
   EXPECT_EQ(entry->version, 1u);
   EXPECT_EQ(entry->origin, Region::kUs);
@@ -62,10 +62,10 @@ TEST_F(ReplicatedStoreTest, WriteIsImmediatelyVisibleAtOrigin) {
 TEST_F(ReplicatedStoreTest, RemoteReplicaLagsThenConverges) {
   ReplicatedStore store(FastOptions("rs2", 100.0));
   store.Put(Region::kUs, "k", "v");
-  EXPECT_FALSE(store.Get(Region::kEu, "k").has_value());
+  EXPECT_FALSE(static_cast<bool>(store.Get(Region::kEu, "k")));
   EXPECT_TRUE(store.WaitVisible(Region::kEu, "k", 1, std::chrono::seconds(5)).ok());
   auto entry = store.Get(Region::kEu, "k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_EQ(entry->bytes, "v");
 }
 
@@ -107,7 +107,7 @@ TEST_F(ReplicatedStoreTest, StaleReplayDoesNotRegress) {
   s.store.DrainReplication();
   for (Region region : {Region::kEu, Region::kUs}) {
     auto entry = s.store.Get(region, "k");
-    ASSERT_TRUE(entry.has_value());
+    ASSERT_TRUE(static_cast<bool>(entry));
     EXPECT_EQ(entry->bytes, "new");
     EXPECT_EQ(entry->version, 2u);
   }
@@ -125,14 +125,14 @@ TEST_F(ReplicatedStoreTest, RegionReadsItsOwnAppliedVersion) {
   s.store.DrainReplication();
 
   auto eu = s.store.Get(Region::kEu, "k");
-  ASSERT_TRUE(eu.has_value());
+  ASSERT_TRUE(static_cast<bool>(eu));
   EXPECT_EQ(eu->bytes, "v1");
   EXPECT_EQ(eu->version, 1u);
   EXPECT_TRUE(s.store.IsVisible(Region::kEu, "k", 1));
   EXPECT_FALSE(s.store.IsVisible(Region::kEu, "k", 2));
   EXPECT_EQ(s.store.Get(Region::kUs, "k")->version, 2u);
   auto strong = s.store.StrongGet(Region::kEu, "k");
-  ASSERT_TRUE(strong.has_value());
+  ASSERT_TRUE(static_cast<bool>(strong));
   EXPECT_EQ(strong->bytes, "v2");
 
   s.store.fault_injector()->ResumeStore(s.store.name(), Region::kEu);
@@ -197,9 +197,9 @@ TEST_F(ReplicatedStoreTest, StrongGetSeesLatestBeforeReplication) {
   ReplicatedStore store(FastOptions("rs8", 100000.0));
   store.Put(Region::kUs, "k", "v");
   auto entry = store.StrongGet(Region::kEu, "k");
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_EQ(entry->bytes, "v");
-  EXPECT_FALSE(store.Get(Region::kEu, "k").has_value());
+  EXPECT_FALSE(static_cast<bool>(store.Get(Region::kEu, "k")));
 }
 
 TEST_F(ReplicatedStoreTest, ScanPrefixReturnsMatchingEntries) {
@@ -236,8 +236,8 @@ TEST_F(ReplicatedStoreTest, ScanPrefixStaysKeySortedAcrossShards) {
     const std::vector<EntryHandle> scan = store.ScanPrefix(region, "t/");
     ASSERT_EQ(scan.size(), keys.size());
     for (size_t i = 0; i < scan.size(); ++i) {
-      EXPECT_EQ(scan[i].entry().key, keys[i]);
-      EXPECT_EQ(scan[i].entry().bytes, keys[i]);
+      EXPECT_EQ(scan[i]->key, keys[i]);
+      EXPECT_EQ(scan[i]->bytes, keys[i]);
     }
   }
 }
@@ -246,7 +246,7 @@ TEST_F(ReplicatedStoreTest, ApplyHookFiresForEveryRegion) {
   ReplicatedStore store(FastOptions("rs10", 20.0));
   std::atomic<int> us_applies{0};
   std::atomic<int> eu_applies{0};
-  store.SetApplyHook([&](Region region, const StoredEntry&) {
+  store.SetApplyHook([&](Region region, const EntryHandle&) {
     (region == Region::kUs ? us_applies : eu_applies).fetch_add(1);
   });
   store.Put(Region::kUs, "k", "v");
@@ -329,10 +329,10 @@ TEST_F(ReplicatedStoreTest, PerKeyRegionAppliesStayOrdered) {
   ReplicatedStore store(std::move(options));
   std::mutex mu;
   std::vector<uint64_t> eu_versions;
-  store.SetApplyHook([&](Region region, const StoredEntry& entry) {
-    if (region == Region::kEu && entry.key == "hot") {
+  store.SetApplyHook([&](Region region, const EntryHandle& entry) {
+    if (region == Region::kEu && entry->key == "hot") {
       std::lock_guard<std::mutex> lock(mu);
-      eu_versions.push_back(entry.version);
+      eu_versions.push_back(entry->version);
     }
   });
   constexpr uint64_t kWrites = 100;
