@@ -8,14 +8,14 @@
 // replica (the geo-replication optimization of §6.3); `BarrierGlobal` waits
 // at an explicit set of regions instead.
 //
-// How a barrier actually waits is a strategy decision: the entry points
-// resolve an `EnforcementBackend` (src/antipode/enforcement.h) from
-// `BarrierOptions::backend` / the registry default and delegate the wait plan
-// to it. The native lineage backend groups dependencies by datastore and fans
-// one batched wait per ⟨store, region⟩ at a single shared deadline — the
-// barrier costs the *maximum* of the outstanding waits, never their sum. The
-// stable-frontier backend waits on one HLC stabilization cut instead. See
-// DESIGN.md "Barrier execution model" and §12 "Enforcement strategies".
+// Every entry point runs the one enforcement engine (barrier.cc): dependencies
+// are grouped by datastore, filtered by locality scope and the visibility
+// cache, and the misses are waited for at a single shared deadline — the
+// barrier costs the *maximum* of the outstanding waits, never their sum.
+// `BarrierOptions::backend` (src/antipode/enforcement.h) picks how a store's
+// misses are encoded: as exact ⟨key, version⟩ dependencies batched per
+// ⟨store, region⟩, or as one HLC stabilization cut per ⟨store, region⟩. See
+// DESIGN.md "Barrier execution model" and §12 "Enforcement encodings".
 
 #ifndef SRC_ANTIPODE_BARRIER_H_
 #define SRC_ANTIPODE_BARRIER_H_
@@ -32,7 +32,7 @@ namespace antipode {
 
 // Blocks until all of `lineage`'s dependencies are visible at `region`. The
 // wait is a `Completion` (src/common/sim.h): in simulation it pumps virtual
-// time until the backend completes instead of parking the thread.
+// time until the engine completes instead of parking the thread.
 Status Barrier(const Lineage& lineage, Region region, const BarrierOptions& options = {});
 
 // Barrier on the current request context's lineage (no-op when none).
@@ -53,8 +53,8 @@ void BarrierAsync(Lineage lineage, Region region, ThreadPool* executor,
 // dependencies that are not yet visible at `region` — each one is a
 // potential XCY violation a real barrier would have prevented; `unresolved`
 // lists dependencies whose datastore has no registered shim. Deliberately
-// backend-independent: the probe asks the shims' IsVisible directly, so the
-// checker's verdicts mean the same thing whichever strategy enforces.
+// encoding-independent: the probe asks the shims' IsVisible directly, so the
+// checker's verdicts mean the same thing whichever encoding enforces.
 // `use_scope` mirrors BarrierOptions::use_scope: dependencies whose locality
 // scope excludes `region` are vacuously met and are not probed at all.
 struct BarrierDryRunResult {

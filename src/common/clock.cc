@@ -25,8 +25,9 @@ double TimeScale::ToModelMillis(Duration wall) {
 }
 
 SystemClock& SystemClock::Instance() {
-  static SystemClock clock;
-  return clock;
+  // Leaked: the leaked TimerService dispatcher threads read it during exit.
+  static auto* clock = new SystemClock();
+  return *clock;
 }
 
 namespace {

@@ -35,7 +35,13 @@ std::optional<Baggage> Baggage::TryDeserialize(std::string_view data) {
     if (!key.ok() || !value.ok()) {
       return std::nullopt;
     }
-    baggage.Set(std::move(*key), std::move(*value));
+    // Canonical form only: Serialize emits strictly ascending keys, so an
+    // out-of-order or repeated key is a foreign encoding that would not
+    // re-encode to its own bytes.
+    if (!baggage.entries_.empty() && *key <= baggage.entries_.back().first) {
+      return std::nullopt;
+    }
+    baggage.entries_.emplace_back(std::move(*key), std::move(*value));
   }
   if (!d.AtEnd()) {
     return std::nullopt;

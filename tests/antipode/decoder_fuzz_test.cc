@@ -1,6 +1,8 @@
 // Seeded mutation fuzzing of the decoders on the lineage path: the lineage
-// wire (Lineage::Deserialize), the shim value frame (UnframeValue) and the
-// length-prefixed view read under both (Deserializer::ReadView). Inputs are
+// wire (Lineage::Deserialize), the shim value frame (UnframeValue), the
+// length-prefixed view read under both (Deserializer::ReadView), and the
+// request-context wire that carries the lineage between services
+// (Baggage::TryDeserialize, RequestContext::Deserialize). Inputs are
 // valid encodings mutated by truncation, byte flips, splices of two valid
 // encodings and injected huge or overlong varints. Every input must either
 // decode to something that re-encodes to exactly the input bytes, or be
@@ -17,6 +19,8 @@
 #include "src/antipode/lineage.h"
 #include "src/common/random.h"
 #include "src/common/serialization.h"
+#include "src/context/baggage.h"
+#include "src/context/request_context.h"
 
 namespace antipode {
 namespace {
@@ -132,6 +136,26 @@ std::string EncodeStrings(Rng& rng) {
   return out;
 }
 
+// A random baggage: a few entries keyed from a small pool (so splices can
+// collide keys) plus random keys, with random values.
+Baggage RandomBaggage(Rng& rng) {
+  static const char* const kKeys[] = {"antipode-lineage", "obs-trace-id", "obs-span-id", "user"};
+  Baggage baggage;
+  for (size_t n = rng.NextBelow(5); n > 0; --n) {
+    std::string key = rng.NextBelow(2) == 0 ? kKeys[rng.NextBelow(4)] : RandomBytes(rng, 12);
+    baggage.Set(std::move(key), RandomBytes(rng, 24));
+  }
+  return baggage;
+}
+
+std::string EncodeBaggage(Rng& rng) { return RandomBaggage(rng).Serialize(); }
+
+std::string EncodeContext(Rng& rng) {
+  RequestContext context(RandomVarintValue(rng));
+  context.baggage() = RandomBaggage(rng);
+  return context.Serialize();
+}
+
 TEST(DecoderFuzzTest, LineageDeserializeRoundTripsOrRejects) {
   Rng rng(0x11AE);
   const std::vector<std::string> corpus = Corpus(rng, &EncodeLineage);
@@ -200,6 +224,46 @@ TEST(DecoderFuzzTest, ReadViewRoundTripsOrRejects) {
   }
   EXPECT_GT(views, kInputsPerDecoder);
   EXPECT_GT(rejected, kInputsPerDecoder / 4);
+}
+
+TEST(DecoderFuzzTest, BaggageTryDeserializeRoundTripsOrRejects) {
+  Rng rng(0xBA66);
+  const std::vector<std::string> corpus = Corpus(rng, &EncodeBaggage);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kInputsPerDecoder; ++i) {
+    const std::string input = Mutate(rng, corpus[rng.NextBelow(corpus.size())], corpus);
+    auto baggage = Baggage::TryDeserialize(input);
+    if (!baggage.has_value()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(baggage->Serialize(), input) << "input " << i;
+  }
+  EXPECT_GT(accepted, kInputsPerDecoder / 100);
+  EXPECT_GT(rejected, kInputsPerDecoder / 2);
+}
+
+TEST(DecoderFuzzTest, RequestContextDeserializeRoundTripsOrRejects) {
+  Rng rng(0xC0E7);
+  const std::vector<std::string> corpus = Corpus(rng, &EncodeContext);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kInputsPerDecoder; ++i) {
+    const std::string input = Mutate(rng, corpus[rng.NextBelow(corpus.size())], corpus);
+    RequestContext context = RequestContext::Deserialize(input);
+    if (context.Serialize() == input) {
+      ++accepted;
+      continue;
+    }
+    // Rejected: all-or-nothing, so nothing of the input survives.
+    ++rejected;
+    ASSERT_EQ(context.trace_id(), 0u) << "input " << i;
+    ASSERT_TRUE(context.baggage().Empty()) << "input " << i;
+  }
+  EXPECT_GT(accepted, kInputsPerDecoder / 100);
+  EXPECT_GT(rejected, kInputsPerDecoder / 2);
 }
 
 }  // namespace

@@ -112,6 +112,11 @@ TEST_F(StressTest, DryRunsRaceWithReplication) {
       probes.fetch_add(1);
     }
   });
+  // Start handshake: the writes must overlap the prober, not finish before
+  // its thread is first scheduled.
+  while (probes.load() == 0) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 300; ++i) {
     shim.Write(Region::kUs, "hot", "v" + std::to_string(i), Lineage(1));
   }

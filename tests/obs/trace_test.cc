@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 
 #include "src/antipode/antipode.h"
@@ -17,6 +18,12 @@
 #include "src/store/kv_store.h"
 
 namespace antipode {
+
+// Found by argument-dependent lookup, so it lives in the enum's namespace.
+void PrintTo(EnforcementBackendKind kind, std::ostream* os) {
+  *os << EnforcementBackendKindName(kind);
+}
+
 namespace {
 
 const std::vector<Region> kRegions = {Region::kUs, Region::kEu};
@@ -164,9 +171,14 @@ TEST_F(TraceTest, ReplicationApplyInheritsTraceId) {
   EXPECT_EQ(Annotation(*apply, "key"), "k");
 }
 
-// The barrier records one parent span plus a per-dependency wait span, and
-// attributes the stall to the store on the critical path.
-TEST_F(TraceTest, BarrierSpanAttributesStallPerDependency) {
+// Both dependency encodings emit the same "antipode/barrier" parent span.
+class TraceBarrierTest : public TraceTest,
+                         public ::testing::WithParamInterface<EnforcementBackendKind> {};
+
+// The barrier records one parent span plus, for exact dependencies, a
+// per-dependency wait span, and attributes the stall to the store on the
+// critical path. A cut wait covers its dependencies without a span per dep.
+TEST_P(TraceBarrierTest, BarrierSpanAttributesStallPerDependency) {
   KvStore store(KvStore::DefaultOptions("trc-bar", kRegions));
   KvShim shim(&store);
   ShimRegistry registry;
@@ -177,21 +189,25 @@ TEST_F(TraceTest, BarrierSpanAttributesStallPerDependency) {
   Span root = Span::Start("test/request");
   ASSERT_TRUE(root.recording());
   shim.WriteCtx(Region::kUs, "k", "v");
-  ASSERT_TRUE(BarrierCtx(Region::kEu, BarrierOptions{.registry = &registry}).ok());
+  ASSERT_TRUE(
+      BarrierCtx(Region::kEu, BarrierOptions{.registry = &registry, .backend = GetParam()}).ok());
   root.End();
   store.DrainReplication();
 
   const auto events = Tracer::Default().Snapshot();
   const TraceEvent* barrier = Find(events, "antipode/barrier");
-  const TraceEvent* wait = Find(events, "barrier/wait");
   ASSERT_NE(barrier, nullptr);
-  ASSERT_NE(wait, nullptr);
   EXPECT_EQ(barrier->trace_id, root.context().trace_id);
   EXPECT_EQ(barrier->parent_span_id, root.context().span_id);
-  EXPECT_EQ(wait->trace_id, barrier->trace_id);
-  EXPECT_EQ(wait->parent_span_id, barrier->span_id);
   EXPECT_EQ(Annotation(*barrier, "deps"), "1");
   EXPECT_EQ(Annotation(*barrier, "status"), "OK");
+  if (GetParam() != EnforcementBackendKind::kLineage) {
+    return;
+  }
+  const TraceEvent* wait = Find(events, "barrier/wait");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->trace_id, barrier->trace_id);
+  EXPECT_EQ(wait->parent_span_id, barrier->span_id);
   // One dependency, so it is trivially the critical path.
   EXPECT_EQ(Annotation(*barrier, "critical_path_store"), "trc-bar");
   EXPECT_EQ(Annotation(*barrier, "critical_path_key"), "k");
@@ -199,6 +215,10 @@ TEST_F(TraceTest, BarrierSpanAttributesStallPerDependency) {
   EXPECT_EQ(Annotation(*wait, "key"), "k");
   EXPECT_FALSE(Annotation(*wait, "stall_model_ms").empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, TraceBarrierTest,
+                         ::testing::Values(EnforcementBackendKind::kLineage,
+                                           EnforcementBackendKind::kStableFrontier));
 
 TEST_F(TraceTest, ChromeTraceAndJsonlExport) {
   {
