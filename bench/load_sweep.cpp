@@ -393,8 +393,7 @@ class MediaBed : public Bed {
 // skip the out-of-pair ⟨store, region⟩ pairs outright (barrier.scoped_skip);
 // unscoped barriers probe the cache and arm a vacuous wait for each of them.
 // The three pairs also live in three distinct region groups, so the phase
-// drives the group-partitioned visibility registry and per-group HLC clocks
-// concurrently instead of through one shared shard set.
+// drives the per-group HLC clocks concurrently instead of one shared clock.
 class LocalityBed : public Bed {
  public:
   LocalityBed(bool use_cache, EnforcementBackendKind backend, bool use_scope,

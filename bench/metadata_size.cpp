@@ -3,27 +3,28 @@
 // request joins the dependency chain, the paper found the lineage metadata
 // stays below 1 KB for 99% of requests and averages ≈200 bytes.
 //
-// A second phase measures how much of that metadata the visibility-cache
-// watermark sheds at the Serialize boundary (DESIGN.md §8): each stateful
-// call is a write with a per-store sequence number, replication to every
-// region completes `--lag` calls after the write, and the request serializes
-// its lineage `--delay` calls after its last write. Writes that have
-// replicated everywhere by then can never block any barrier, so
-// Lineage::PruneVisibleEverywhere drops them from the baggage.
+// A second phase measures how much of that metadata visibility pruning sheds
+// at the Serialize boundary (DESIGN.md §8): each stateful call is a write,
+// replication to every region completes `--lag` calls after the write, and
+// the request serializes its lineage `--delay` calls after its last write.
+// Writes that have replicated everywhere by then can never block any barrier,
+// so PruneVisibleEverywhere drops them from the baggage.
 //
 // Flags: --requests=<n> (default 100000), --lag=<calls> (default 64),
 //        --delay=<calls> (default 32).
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <deque>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/antipode/lineage.h"
-#include "src/antipode/visibility_cache.h"
+#include "src/antipode/shim.h"
 #include "src/trace/call_graph.h"
 
 using namespace antipode;
@@ -36,8 +37,37 @@ const std::vector<Region> kAllRegions = {Region::kUs, Region::kEu, Region::kSg};
 struct PendingApply {
   std::string key;
   uint64_t version = 0;
-  uint64_t seq = 0;
   uint64_t written_at = 0;  // global call-clock tick of the write
+};
+
+// A synthetic store replicated to every region: the pruning probe answers from
+// the highest version of each key applied so far (applies land at every
+// region at once). Never waited on.
+class SyntheticShim : public Shim {
+ public:
+  explicit SyntheticShim(std::string name) : name_(std::move(name)) {}
+
+  const std::string& store_name() const override { return name_; }
+  Status Wait(Region, const WriteId&, Duration) override {
+    return Status::Unimplemented("synthetic store");
+  }
+  void WaitAsync(Region, const WriteId&, TimePoint, WaitCallback done) override {
+    done(Status::Unimplemented("synthetic store"));
+  }
+  bool IsVisible(Region, const WriteId& id) override {
+    auto it = applied_.find(id.key);
+    return it != applied_.end() && it->second >= id.version;
+  }
+  RegionMask region_scope() const override { return RegionMaskOf(kAllRegions); }
+
+  void Apply(const PendingApply& apply) {
+    uint64_t& version = applied_[apply.key];
+    version = std::max(version, apply.version);
+  }
+
+ private:
+  std::string name_;
+  std::unordered_map<std::string, uint64_t> applied_;
 };
 
 void PrintHistogram(const char* title, const Histogram& bytes) {
@@ -56,14 +86,14 @@ int main(int argc, char** argv) {
 
   CallGraphGenerator generator(TraceGenOptions{});
 
-  // Private cache: one StoreVisibility per synthetic store, same "storeN"
-  // naming AnalyzeTrace uses, so PruneVisibleEverywhere resolves them by name.
-  VisibilityCache cache;
-  std::vector<std::shared_ptr<StoreVisibility>> stores;
-  std::array<uint64_t, kTraceStores> seq_counters{};
+  // One synthetic shim per store, same "storeN" naming AnalyzeTrace uses, so
+  // PruneVisibleEverywhere resolves them by name through the registry.
+  ShimRegistry registry;
+  std::vector<std::unique_ptr<SyntheticShim>> stores;
   std::array<std::deque<PendingApply>, kTraceStores> in_flight;
   for (uint32_t s = 0; s < kTraceStores; ++s) {
-    stores.push_back(cache.Register("store" + std::to_string(s), kAllRegions));
+    stores.push_back(std::make_unique<SyntheticShim>("store" + std::to_string(s)));
+    registry.Register(stores.back().get());
   }
 
   // Mirrors AnalyzeTrace's lineage construction (same key rng derivation) so
@@ -84,8 +114,7 @@ int main(int argc, char** argv) {
       id.store = "store" + std::to_string(store_idx);
       id.key = "s" + std::to_string(service) + "/k" + std::to_string(key_rng.NextBelow(2));
       id.version = 1 + key_rng.NextBelow(1 << 20);
-      in_flight[store_idx].push_back(PendingApply{id.key, id.version,
-                                                  ++seq_counters[store_idx], clock});
+      in_flight[store_idx].push_back(PendingApply{id.key, id.version, clock});
       ++clock;
       lineage.Append(std::move(id));
     }
@@ -94,20 +123,17 @@ int main(int argc, char** argv) {
 
     // The request serializes its lineage `delay` ticks after its last write:
     // every write older than `lag` ticks at that point has applied at all
-    // regions, so flush those applies into the cache before pruning.
+    // regions, so flush those applies into the stores before pruning.
     const uint64_t serialize_at = clock + delay;
     const uint64_t horizon = serialize_at >= lag ? serialize_at - lag : 0;
     for (uint32_t s = 0; s < kTraceStores; ++s) {
       auto& queue = in_flight[s];
       while (!queue.empty() && queue.front().written_at <= horizon) {
-        const PendingApply& apply = queue.front();
-        for (Region region : kAllRegions) {
-          stores[s]->NoteApply(region, apply.key, apply.version, apply.seq);
-        }
+        stores[s]->Apply(queue.front());
         queue.pop_front();
       }
     }
-    lineage.PruneVisibleEverywhere(cache);
+    PruneVisibleEverywhere(lineage, registry);
     after_bytes.Record(static_cast<double>(lineage.WireSize()));
     deps_after.Record(static_cast<double>(lineage.Size()));
   }

@@ -22,8 +22,8 @@
 // A second phase measures the all-deps-already-visible case — the steady
 // state when replication lag ≪ inter-request gap. Every write has long
 // replicated, so the barrier does no model-time waiting and the measurement
-// is pure wall-clock overhead: with the visibility cache every dependency is
-// answered by a striped-shard probe and the barrier returns with zero
+// is pure wall-clock overhead: with the record probe every dependency is
+// answered by a striped-shard lookup and the barrier returns with zero
 // registry/timer/pool traffic (`barrier.zero_wait`); without it (the PR 1
 // parallel path) every dependency still costs a gather slot, a registry
 // lookup under the shard lock, and a synchronous waiter-side completion.

@@ -1,20 +1,19 @@
-// Visibility-cache microbench (DESIGN.md §8): population and lookup costs of
-// the two-level ⟨per-key table, apply low-watermark⟩ structure that fronts
-// every barrier wait.
+// Store-visibility microbench (DESIGN.md §8): the costs of the per-store
+// tracker every apply feeds and of the record-backed probe that fronts every
+// barrier wait.
 //
 // Phases:
-//   populate   NoteApply throughput, single writer. In-order seqs advance the
+//   NoteApply  tracker throughput, single writer. In-order seqs advance the
 //              watermark with no pending-set churn; out-of-order seqs (blocks
 //              applied in reverse) park in the pending set until the gap
 //              fills, which is the worst case for the tracker lock.
-//   lookup     IsVisible throughput across --threads concurrent readers, for
-//              the three probe outcomes a barrier can see:
-//                per-key hit    probed region observed the version directly
-//                watermark hit  per-key miss, covered by the old-write rule
-//                               (entry state crafted so the probe falls
-//                               through to the watermark load)
-//                miss           unknown key — the caller falls back to the
-//                               real wait
+//   probe      StoreVisibility::IsVisible / StampCovering throughput across
+//              --threads concurrent readers of one store's records, for the
+//              outcomes a barrier can see:
+//                hit           the region applied the version (or a newer one)
+//                version miss  the key is known, the version is not applied
+//                unknown miss  no record for the key
+//              Every miss falls back to the real wait in a barrier.
 //
 // Flags: --applies=<n> (default 200000), --keys=<n> (default 1024),
 //        --threads=<n> (default 4), --lookups=<n per thread> (default 200000).
@@ -27,7 +26,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/antipode/visibility_cache.h"
+#include "src/store/kv_store.h"
+#include "src/store/store_visibility.h"
 
 using namespace antipode;
 
@@ -48,8 +48,9 @@ std::vector<std::string> MakeKeys(int count) {
   return keys;
 }
 
-double RunPopulate(int applies, const std::vector<std::string>& keys, bool in_order) {
-  StoreVisibility store("bench", kAllRegions);
+double RunPopulate(int applies, bool in_order) {
+  KvStore idle(KvStore::DefaultOptions("bench-tracker", kAllRegions));
+  StoreVisibility store(idle);
   constexpr int kBlock = 64;  // out-of-order: each block applied in reverse
   const auto start = std::chrono::steady_clock::now();
   for (int block = 0; block * kBlock < applies; ++block) {
@@ -57,7 +58,7 @@ double RunPopulate(int applies, const std::vector<std::string>& keys, bool in_or
       const int offset = in_order ? i : kBlock - 1 - i;
       const uint64_t seq = static_cast<uint64_t>(block * kBlock + offset) + 1;
       if (seq > static_cast<uint64_t>(applies)) continue;
-      store.NoteApply(Region::kUs, keys[seq % keys.size()], seq, seq);
+      store.NoteApply(Region::kUs, seq, seq);
     }
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -106,39 +107,40 @@ int main(int argc, char** argv) {
   const int lookups = args.GetInt("lookups", 200000);
   const std::vector<std::string> keys = MakeKeys(key_count);
 
-  std::printf("# visibility cache: %d applies, %d keys, %d lookup threads x %d lookups\n\n",
+  std::printf("# store visibility: %d applies, %d keys, %d lookup threads x %d lookups\n\n",
               applies, key_count, threads, lookups);
   std::printf("%-28s %12s\n", "phase", "Mops/s");
-  std::printf("%-28s %12.2f\n", "NoteApply in-order", RunPopulate(applies, keys, true));
-  std::printf("%-28s %12.2f\n", "NoteApply out-of-order", RunPopulate(applies, keys, false));
+  std::printf("%-28s %12.2f\n", "NoteApply in-order", RunPopulate(applies, true));
+  std::printf("%-28s %12.2f\n", "NoteApply out-of-order", RunPopulate(applies, false));
 
-  // Lookup bed. Per-key hits: kUs observed every version directly. Watermark
-  // hits: kEu's watermark is advanced by filler-key applies, so probes of the
-  // primary keys at kEu miss the per-key entry and fall through to the
-  // old-write rule. Misses: unknown keys.
-  StoreVisibility store("bench", kAllRegions);
-  for (int i = 1; i <= key_count; ++i) {
-    const uint64_t seq = static_cast<uint64_t>(i);
-    store.NoteApply(Region::kUs, keys[seq % keys.size()], 10, seq);
-    store.NoteApply(Region::kEu, "filler/" + std::to_string(i), 1, seq);
+  // Probe bed: a single-region store (no shipments) holding version 10 of
+  // every key, so each probe is one shard lock and one record lookup.
+  KvStore store(KvStore::DefaultOptions("bench-probe", {Region::kUs}));
+  for (const std::string& key : keys) {
+    for (int v = 0; v < 10; ++v) store.Set(Region::kUs, key, "v");
   }
+  const StoreVisibility& vis = store.visibility();
   const std::vector<std::string> unknown = [&] {
     std::vector<std::string> result;
     for (int i = 0; i < key_count; ++i) result.push_back("ghost/" + std::to_string(i));
     return result;
   }();
 
-  std::printf("%-28s %12.2f\n", "IsVisible per-key hit",
+  std::printf("%-28s %12.2f\n", "IsVisible hit",
               RunLookups(threads, lookups, true, [&](int t, int i) {
-                return store.IsVisible(Region::kUs, keys[(t + i) % keys.size()], 10);
+                return vis.IsVisible(Region::kUs, keys[(t + i) % keys.size()], 10);
               }));
-  std::printf("%-28s %12.2f\n", "IsVisible watermark hit",
-              RunLookups(threads, lookups, true, [&](int t, int i) {
-                return store.IsVisible(Region::kEu, keys[(t + i) % keys.size()], 10);
-              }));
-  std::printf("%-28s %12.2f\n", "IsVisible miss",
+  std::printf("%-28s %12.2f\n", "IsVisible version miss",
               RunLookups(threads, lookups, false, [&](int t, int i) {
-                return store.IsVisible(Region::kSg, unknown[(t + i) % unknown.size()], 1);
+                return vis.IsVisible(Region::kUs, keys[(t + i) % keys.size()], 11);
+              }));
+  std::printf("%-28s %12.2f\n", "IsVisible unknown miss",
+              RunLookups(threads, lookups, false, [&](int t, int i) {
+                return vis.IsVisible(Region::kUs, unknown[(t + i) % unknown.size()], 1);
+              }));
+  std::printf("%-28s %12.2f\n", "StampCovering hit",
+              RunLookups(threads, lookups, true, [&](int t, int i) {
+                return vis.StampCovering(keys[(t + i) % keys.size()], 10) != 0;
               }));
   return 0;
 }

@@ -183,7 +183,6 @@ EpisodeResult RunEpisode(uint64_t seed) {
   TimerService timers(timer_options);
   RegionTopology topology(/*jitter_sigma=*/0.1, /*seed=*/seed);
   FaultInjector injector;
-  VisibilityCache cache;
 
   const std::vector<Region> all_regions = {Region::kUs, Region::kEu, Region::kSg};
   // Scoped episodes deploy the profile store on {US, EU} only: its writes'
@@ -201,7 +200,6 @@ EpisodeResult RunEpisode(uint64_t seed) {
   posts_options.replication.median_millis = 20.0;
   posts_options.replication.sigma = 0.3;
   posts_options.replication.seed = seed;
-  posts_options.visibility_cache = &cache;
   posts_options.fault_injector = &injector;
   KvStore posts(std::move(posts_options), &topology, &timers);
 
@@ -209,7 +207,6 @@ EpisodeResult RunEpisode(uint64_t seed) {
   profile_options.replication.median_millis = 15.0;
   profile_options.replication.sigma = 0.3;
   profile_options.replication.seed = seed + 1;
-  profile_options.visibility_cache = &cache;
   profile_options.fault_injector = &injector;
   KvStore profile(std::move(profile_options), &topology, &timers);
 
@@ -217,7 +214,6 @@ EpisodeResult RunEpisode(uint64_t seed) {
   notif_options.replication.median_millis = 30.0;
   notif_options.replication.sigma = 0.2;
   notif_options.replication.seed = seed + 2;
-  notif_options.visibility_cache = &cache;
   notif_options.fault_injector = &injector;
   QueueStore notif(std::move(notif_options), &topology, &timers);
 

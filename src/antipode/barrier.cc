@@ -298,18 +298,16 @@ void CheckMemoSound(const Lineage& lineage, std::span<const Region> regions,
   }
 }
 
-using VisibilityHandle = std::shared_ptr<StoreVisibility>;
-
 // Enforces `lineage` at every region in `regions`, bounded by `deadline`,
 // under the encoding `options` selects.
 //
-// Dependencies the memo or the visibility cache prove visible are filtered
+// Dependencies the memo or the store's record probe prove visible are filtered
 // out up front; when everything hits, `done` fires synchronously with zero
 // thread-pool, timer, or registry traffic (the `barrier.zero_wait` path).
 // Each remaining miss is waited for in one of two encodings, chosen per
 // dependency by its HLC stamp:
 //   * stamp 0 (every dependency under kLineage; under kStableFrontier, those
-//     on stores without a frontier or whose stamp the cache no longer knows)
+//     on stores without a frontier or with no stamped write covering them)
 //     — exact: the store's misses at a region batch into one WaitManyAsync,
 //     so one store costs one deadline timer and one completion;
 //   * stamp > 0 — cut: the store's misses at a region fold into one frontier
@@ -355,13 +353,13 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
   }
 
   // Dependencies are sorted, so each store's run is contiguous: one registry
-  // lookup (and one cache-state fetch) per store, not per dependency. A
+  // lookup (and one visibility-state fetch) per store, not per dependency. A
   // request's lineage spans a handful of stores, so the runs stay inline.
   // Under kStableFrontier a run on a frontier store also reads each
   // dependency's stamp once, into `stamps` (index = position in the lineage).
   struct StoreRun {
     Shim* shim = nullptr;
-    VisibilityHandle vis;
+    const StoreVisibility* vis = nullptr;
     const WriteId* begin = nullptr;
     const WriteId* end = nullptr;
     uint64_t* stamps = nullptr;  // parallel to [begin, end); nullptr: all 0
@@ -388,19 +386,19 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
           }
           continue;
         }
-        VisibilityHandle vis = shim->visibility();
+        const StoreVisibility* vis = shim->visibility();
         uint64_t* run_stamps = nullptr;
         if (!stamps.empty() && vis != nullptr && shim->SupportsFrontier()) {
           run_stamps = &stamps[&dep - lineage.deps().data()];
         }
-        runs.push_back(StoreRun{shim, std::move(vis), &dep, &dep, run_stamps});
+        runs.push_back(StoreRun{shim, vis, &dep, &dep, run_stamps});
       }
       if (shim == nullptr) {
         continue;
       }
       StoreRun& run = runs.back();
       if (run.stamps != nullptr) {
-        const uint64_t hlc = run.vis->KnownHlc(dep.key, dep.version);
+        const uint64_t hlc = run.vis->StampCovering(dep.key, dep.version);
         run.stamps[&dep - run.begin] = hlc;
         cut = std::max(cut, hlc);
       }
@@ -411,19 +409,16 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
   const TimePoint start = GlobalClock().Now();
   std::shared_ptr<BarrierTraceState> trace = MaybeStartBarrierTrace(primary);
 
-  // Filter every ⟨region, dependency⟩ pair against the scope and the cache;
-  // survivors join their ⟨store, region⟩'s exact batch or cut. The WriteId
-  // copies are required anyway: wait callbacks may outlive the lineage
-  // (BarrierAsync) and the completion feeds the ids back into the cache.
+  // Filter every ⟨region, dependency⟩ pair against the scope and the record
+  // probe; survivors join their ⟨store, region⟩'s exact batch or cut.
   struct ExactGroup {
     Shim* shim = nullptr;
-    VisibilityHandle vis;
     Region region = Region::kLocal;
     std::vector<WriteId> ids;
   };
   struct CutWait {
     Shim* shim = nullptr;
-    VisibilityHandle vis;
+    const StoreVisibility* vis = nullptr;
     Region region = Region::kLocal;
     uint64_t cut = 0;
   };
@@ -460,7 +455,7 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
           continue;
         }
         if (group == nullptr) {
-          groups.push_back(ExactGroup{run.shim, run.vis, region, {}});
+          groups.push_back(ExactGroup{run.shim, region, {}});
           group = &groups.back();
           group->ids.reserve(static_cast<size_t>(run.end - dep));
           if (memoizable != nullptr && !run.shim->wait_implies_visibility()) {
@@ -531,45 +526,30 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
   auto gather = std::make_shared<WaitGather>(waits, std::move(finish));
   for (const CutWait& wait : cut_waits) {
     RecordFrontierLag(wait.region, wait.cut, wait.vis->FrontierHlc(wait.region));
-    // Frontier success needs no per-key cache feedback: the apply watermark
-    // it rode already makes IsVisible's old-write rule cover the deps.
     wait.shim->WaitFrontierAsync(wait.region, wait.cut, deadline,
                                  [gather](Status status) { gather->Complete(status); });
   }
+  // A successful wait needs no feedback: it completed because the store's
+  // record shows the write, which is what the next probe reads.
   for (ExactGroup& group : groups) {
-    // A wait that succeeded proves its ids visible at the region — feed that
-    // back so the next barrier over the same lineage hits. Gated on the shim:
-    // dynamo-style waits succeed via the authority, not the local replica.
-    const bool feed_cache = group.vis != nullptr && group.shim->wait_implies_visibility();
     const Region region = group.region;
     if (traced) {
       for (WriteId& id : group.ids) {
-        group.shim->WaitAsync(
-            region, id, deadline,
-            [gather, trace, region, feed_cache, vis = group.vis, dep = id](Status status) {
-              const TimePoint end = GlobalClock().Now();
-              const double stall_ms = TimeScale::ToModelMillis(
-                  std::chrono::duration_cast<Duration>(end - trace->start));
-              trace->Observe(stall_ms, dep);
-              RecordWaitSpan(*trace, dep, region, end, stall_ms, status);
-              if (status.ok() && feed_cache) {
-                vis->NoteVisible(region, dep.key, dep.version);
-              }
-              gather->Complete(status);
-            });
+        group.shim->WaitAsync(region, id, deadline,
+                              [gather, trace, region, dep = id](Status status) {
+                                const TimePoint end = GlobalClock().Now();
+                                const double stall_ms = TimeScale::ToModelMillis(
+                                    std::chrono::duration_cast<Duration>(end - trace->start));
+                                trace->Observe(stall_ms, dep);
+                                RecordWaitSpan(*trace, dep, region, end, stall_ms, status);
+                                gather->Complete(status);
+                              });
       }
       continue;
     }
-    auto ids = std::make_shared<std::vector<WriteId>>(std::move(group.ids));
-    group.shim->WaitManyAsync(region, *ids, deadline,
-                              [gather, region, feed_cache, vis = group.vis, ids](Status status) {
-                                if (status.ok() && feed_cache) {
-                                  for (const WriteId& id : *ids) {
-                                    vis->NoteVisible(region, id.key, id.version);
-                                  }
-                                }
-                                gather->Complete(status);
-                              });
+    // `ids` need only outlive the call: shims copy what they keep.
+    group.shim->WaitManyAsync(region, group.ids, deadline,
+                              [gather](Status status) { gather->Complete(status); });
   }
   return Status::Ok();
 }
@@ -718,7 +698,7 @@ BarrierDryRunResult BarrierDryRun(const Lineage& lineage, Region region, ShimReg
       result.consistent = false;
       continue;
     }
-    std::shared_ptr<StoreVisibility> vis = use_cache ? shim->visibility() : nullptr;
+    const StoreVisibility* vis = use_cache ? shim->visibility() : nullptr;
     if (vis != nullptr && vis->IsVisible(region, dep.key, dep.version)) {
       CacheCounters().hit->Increment();
       continue;
@@ -729,12 +709,6 @@ BarrierDryRunResult BarrierDryRun(const Lineage& lineage, Region region, ShimReg
     if (!shim->IsVisible(region, dep)) {
       result.unmet.push_back(dep);
       result.consistent = false;
-      continue;
-    }
-    // IsVisible is local-replica semantics for every shim (dynamo included),
-    // so a positive probe can always feed the cache.
-    if (vis != nullptr) {
-      vis->NoteVisible(region, dep.key, dep.version);
     }
   }
   CountScopedSkips(scoped_skips);

@@ -9,8 +9,8 @@
 // at an explicit set of regions instead.
 //
 // Every entry point runs the one enforcement engine (barrier.cc): dependencies
-// are grouped by datastore, filtered by locality scope and the visibility
-// cache, and the misses are waited for at a single shared deadline — the
+// are grouped by datastore, filtered by locality scope and each store's
+// record probe (the visibility fast path), and the misses are waited for at a single shared deadline — the
 // barrier costs the *maximum* of the outstanding waits, never their sum.
 // `BarrierOptions::backend` (src/antipode/enforcement.h) picks how a store's
 // misses are encoded: as exact ⟨key, version⟩ dependencies batched per

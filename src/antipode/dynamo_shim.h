@@ -31,14 +31,14 @@ class DynamoShim : public Shim {
                  WaitCallback done) override;
   bool IsVisible(Region region, const WriteId& id) override;
 
-  // Cache hits (fed by replica applies) may still skip strong-read waits:
-  // locally visible implies the authority has the write, since the authority
-  // is updated synchronously at Put before any shipment.
-  std::shared_ptr<StoreVisibility> visibility() const override { return dynamo_->visibility(); }
+  // Record probe hits may still skip strong-read waits: locally visible
+  // implies the authority has the write, since the authority is updated
+  // synchronously at Put before any shipment.
+  const StoreVisibility* visibility() const override { return &dynamo_->visibility(); }
 
-  // ...but wait completions must not feed the cache: a successful strong read
-  // proves the authority has the write, not the local replica, and IsVisible
-  // (the dry-run/checker surface) is local-replica semantics here.
+  // ...but a successful strong read proves the authority has the write, not
+  // the local replica, and IsVisible (the dry-run/checker surface) is
+  // local-replica semantics here: its waits never set the enforcement memo.
   bool wait_implies_visibility() const override { return false; }
 
   // Scope from the replica footprint, like the watermark shims: a region with

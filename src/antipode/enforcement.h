@@ -2,9 +2,9 @@
 //
 // Every barrier entry point (src/antipode/barrier.h) runs one enforcement
 // engine: group the lineage's dependencies by datastore, drop the ⟨dep,
-// region⟩ pairs the dependency's locality scope excludes, probe the
-// visibility cache, arm the remaining waits under one shared deadline and
-// gather them. `BarrierOptions::backend` selects only how a store's cache
+// region⟩ pairs the dependency's locality scope excludes, probe each store's
+// records for visibility, arm the remaining waits under one shared deadline
+// and gather them. `BarrierOptions::backend` selects only how a store's probe
 // misses are encoded for waiting:
 //   * kLineage — exact dependencies: one batched wait per ⟨store, region⟩
 //     on the stores' replication watermarks for exactly the missed
@@ -46,11 +46,12 @@ struct BarrierOptions {
   // dependencies) otherwise. Never blocks. `BarrierDryRun` is the richer
   // structured form of the same probe.
   bool dry_run = false;
-  // Probe the visibility cache before issuing any wait: dependencies the
-  // cache proves visible are skipped, and a barrier whose dependencies all
-  // hit returns Ok with zero thread-pool, timer, or registry traffic
-  // (`barrier.zero_wait`). Sound because visibility is monotone — a hit can
-  // never be invalidated (DESIGN.md §8). Off is the measurable baseline.
+  // Probe each store's records (and the lineage's enforcement memo) before
+  // issuing any wait: dependencies proven visible are skipped, and a barrier
+  // whose dependencies all hit returns Ok with zero thread-pool, timer, or
+  // registry traffic (`barrier.zero_wait`). Sound because visibility is
+  // monotone — a hit can never be invalidated (DESIGN.md §8). Off is the
+  // measurable baseline.
   bool use_cache = true;
   // Honor each dependency's locality scope (WriteId::scope): waits and
   // frontier cuts are armed only for ⟨store, region⟩ pairs the scope still

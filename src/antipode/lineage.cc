@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "src/common/serialization.h"
-#include "src/obs/metrics.h"
 
 namespace antipode {
 namespace {
@@ -103,53 +102,6 @@ void Lineage::Transfer(const Lineage& other) {
   merged.insert(merged.end(), a, deps_.end());
   merged.insert(merged.end(), b, other.deps_.end());
   deps_ = std::move(merged);
-}
-
-size_t Lineage::PruneVisibleEverywhere(const VisibilityCache& cache) {
-  if (deps_.empty()) {
-    return 0;
-  }
-  // Stores are contiguous in the sorted vector: one cache lookup per store
-  // run, then a per-dependency probe. Compact in place.
-  std::shared_ptr<StoreVisibility> vis;
-  const std::string* current_store = nullptr;
-  auto keep = deps_.begin();
-  for (auto& dep : deps_) {
-    if (current_store == nullptr || dep.store != *current_store) {
-      current_store = &dep.store;
-      vis = cache.Find(dep.store);
-    }
-    if (vis != nullptr) {
-      // Narrow the locality scope region by region: a bit clears when the
-      // store has no replica there (nothing of this write is readable at that
-      // region) or the cache proves the write visible there. Visibility is
-      // monotone, so a cleared bit stays sound forever; a scope narrowed to
-      // zero is the per-dependency form of "visible everywhere" — drop it.
-      RegionMask scope = dep.scope & vis->tracked_mask();
-      for (int r = 0; r < kNumRegions; ++r) {
-        const Region region = static_cast<Region>(r);
-        if ((scope & RegionBit(region)) != 0 &&
-            vis->IsVisible(region, dep.key, dep.version)) {
-          scope = static_cast<RegionMask>(scope & ~RegionBit(region));
-        }
-      }
-      if (scope == 0) {
-        continue;  // prune
-      }
-      dep.scope = scope;
-    }
-    if (&*keep != &dep) {
-      *keep = std::move(dep);
-    }
-    ++keep;
-  }
-  const size_t pruned = static_cast<size_t>(deps_.end() - keep);
-  deps_.erase(keep, deps_.end());
-  if (pruned != 0) {
-    static Counter* const pruned_deps = MetricsRegistry::Default().GetCounter("lineage.pruned_deps");
-    pruned_deps->Increment(pruned);
-  }
-  return pruned;
 }
 
 std::vector<WriteId> Lineage::DepsForStore(const std::string& store) const {

@@ -20,12 +20,13 @@
 #include <string>
 #include <vector>
 
-#include "src/antipode/visibility_cache.h"
 #include "src/antipode/write_id.h"
 #include "src/common/small_vector.h"
 #include "src/common/status.h"
 
 namespace antipode {
+
+class ShimRegistry;
 
 class Lineage {
  public:
@@ -84,24 +85,6 @@ class Lineage {
   // enforcement is still needed); a version conflict keeps the winner's scope.
   void Transfer(const Lineage& other);
 
-  // Drops every dependency the visibility cache proves visible at *all*
-  // regions of its store (per-key fact or min-across-regions watermark).
-  // Sound because such a dependency can never block any barrier anywhere —
-  // barriers only wait on invisible writes, and visibility is monotone — so
-  // removing it changes no barrier's outcome, only the bytes the lineage
-  // drags through baggage and shim-framed values (the §7.4 metadata size).
-  // Dependencies on stores unknown to the cache are kept. Surviving
-  // dependencies have their locality scope narrowed region by region — bits
-  // clear where the store has no replica or the write is already proven
-  // visible — and a scope narrowed to zero is the per-dependency form of
-  // "visible everywhere", so the dependency drops. Returns the number
-  // pruned (also accumulated in the `lineage.pruned_deps` metric).
-  //
-  // Opt-in (a caller prunes before LineageApi::Install or Serialize) rather
-  // than automatic: tests and debugging tooling legitimately inspect
-  // lineages for writes that have long replicated.
-  size_t PruneVisibleEverywhere(const VisibilityCache& cache = VisibilityCache::Default());
-
   // Enforcement memo (DESIGN.md §8): bit r set ⇒ some past barrier verified
   // every current dependency visible in region r's local replicas. Visibility
   // is monotone and the dependency set is immutable between mutations, so the
@@ -147,6 +130,9 @@ class Lineage {
   std::string ToString() const;
 
  private:
+  // Compacts deps_ in place (see shim.h).
+  friend size_t PruneVisibleEverywhere(Lineage& lineage, const ShimRegistry& registry);
+
   uint64_t id_ = 0;
   DepVector deps_;
   // Bitmask over RegionIndex; mutable because it is a memo of externally

@@ -8,7 +8,7 @@
 //
 // All functions operate on the RequestContext installed on the calling
 // thread; they are no-ops (returning empty lineages) when no context exists.
-// A caller that wants pruned baggage calls Lineage::PruneVisibleEverywhere
+// A caller that wants pruned baggage calls PruneVisibleEverywhere (shim.h)
 // before Install.
 
 #ifndef SRC_ANTIPODE_LINEAGE_API_H_

@@ -1,5 +1,7 @@
 #include "src/antipode/shim.h"
 
+#include "src/obs/metrics.h"
+
 namespace antipode {
 
 ThreadPool& Shim::BlockingWaitPool() {
@@ -109,21 +111,54 @@ std::vector<std::string> ShimRegistry::RegisteredStores() const {
   return out;
 }
 
-void ShimRegistry::ForEach(const std::function<void(Shim*)>& fn) const {
-  // Snapshot under the lock, call outside it: `fn` may complete waits inline
-  // (e.g. an already-covered frontier wait) and those completions must not run
-  // under the registry mutex.
-  std::vector<Shim*> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(shims_.size());
-    for (const auto& [name, shim] : shims_) {
-      snapshot.push_back(shim);
+size_t PruneVisibleEverywhere(Lineage& lineage, const ShimRegistry& registry) {
+  Lineage::DepVector& deps = lineage.deps_;
+  if (deps.empty()) {
+    return 0;
+  }
+  // Stores are contiguous in the sorted vector: one registry lookup per store
+  // run, then a per-dependency probe. Compact in place.
+  Shim* shim = nullptr;
+  const std::string* current_store = nullptr;
+  auto keep = deps.begin();
+  for (auto& dep : deps) {
+    if (current_store == nullptr || dep.store != *current_store) {
+      current_store = &dep.store;
+      shim = registry.Lookup(dep.store);
     }
+    if (shim != nullptr) {
+      // Narrow the locality scope region by region: a bit clears when the
+      // store has no replica there (nothing of this write is readable at that
+      // region) or the shim probes the write visible there. Visibility is
+      // monotone, so a cleared bit stays sound forever; a scope narrowed to
+      // zero is the per-dependency form of "visible everywhere" — drop it.
+      RegionMask scope = dep.scope & shim->region_scope();
+      for (int r = 0; r < kNumRegions; ++r) {
+        const Region region = static_cast<Region>(r);
+        if ((scope & RegionBit(region)) != 0 && shim->IsVisible(region, dep)) {
+          scope = static_cast<RegionMask>(scope & ~RegionBit(region));
+        }
+      }
+      if (scope == 0) {
+        continue;  // prune
+      }
+      dep.scope = scope;
+    }
+    if (&*keep != &dep) {
+      *keep = std::move(dep);
+      if (current_store == &dep.store) {
+        current_store = &keep->store;  // the run's name moved with the dependency
+      }
+    }
+    ++keep;
   }
-  for (Shim* shim : snapshot) {
-    fn(shim);
+  const size_t pruned = static_cast<size_t>(deps.end() - keep);
+  deps.erase(keep, deps.end());
+  if (pruned != 0) {
+    static Counter* const pruned_deps = MetricsRegistry::Default().GetCounter("lineage.pruned_deps");
+    pruned_deps->Increment(pruned);
   }
+  return pruned;
 }
 
 }  // namespace antipode

@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "src/antipode/lineage.h"
-#include "src/antipode/visibility_cache.h"
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/net/region.h"
+#include "src/store/store_visibility.h"
 
 namespace antipode {
 
@@ -61,16 +61,17 @@ class Shim {
   virtual void WaitManyAsync(Region region, std::span<const WriteId> ids, TimePoint deadline,
                              WaitCallback done);
 
-  // Visibility-cache state of the store this shim fronts, or nullptr when the
-  // store does not publish applies (foreign shims, caching disabled). The
-  // barrier fast path probes this before creating any waiter.
-  virtual std::shared_ptr<StoreVisibility> visibility() const { return nullptr; }
+  // Visibility state of the replicated store this shim fronts, or nullptr
+  // for shims over anything else (foreign shims). The barrier fast path
+  // probes its record-backed IsVisible before creating any waiter.
+  virtual const StoreVisibility* visibility() const { return nullptr; }
 
   // Whether a successful Wait/WaitAsync at `region` implies ⟨key, version⟩ is
   // visible in the region's local replica. True for watermark-style shims;
   // false for shims that satisfy `wait` another way (DynamoDB's strong reads
-  // hit the authority, §6.4) — their wait completions must not feed the
-  // cache, or dry-run probes (which are local-replica semantics) would lie.
+  // hit the authority, §6.4) — their wait completions must not set a
+  // lineage's enforcement memo, or dry-run probes (which are local-replica
+  // semantics) trusting it would lie.
   virtual bool wait_implies_visibility() const { return true; }
 
   // Non-blocking visibility probe. This is the one documented boolean
@@ -162,11 +163,6 @@ class ShimRegistry {
   void Clear();
   std::vector<std::string> RegisteredStores() const;
 
-  // Visits every registered shim (snapshot semantics: registrations that race
-  // with the walk may or may not be visited). The stable-frontier backend
-  // enumerates frontier-capable shims this way without copying names.
-  void ForEach(const std::function<void(Shim*)>& fn) const;
-
   const Options& options() const { return options_; }
 
  private:
@@ -174,6 +170,24 @@ class ShimRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Shim*> shims_;
 };
+
+// Drops every dependency of `lineage` whose shim in `registry` probes it
+// visible at *every* region of the shim's scope (its store's replica
+// footprint). Sound because such a dependency can never block any barrier
+// anywhere — barriers only wait on invisible writes, and visibility is
+// monotone — so removing it changes no barrier's outcome, only the bytes the
+// lineage drags through baggage and shim-framed values (the §7.4 metadata
+// size). Dependencies on stores with no shim in `registry` are kept.
+// Surviving dependencies have their locality scope narrowed region by
+// region — bits clear where the store has no replica or the write already
+// probes visible — and a scope narrowed to zero is the per-dependency form of
+// "visible everywhere", so the dependency drops. Returns the number pruned
+// (also accumulated in the `lineage.pruned_deps` metric).
+//
+// Opt-in (a caller prunes before LineageApi::Install or Serialize) rather
+// than automatic: tests and debugging tooling legitimately inspect lineages
+// for writes that have long replicated.
+size_t PruneVisibleEverywhere(Lineage& lineage, const ShimRegistry& registry);
 
 }  // namespace antipode
 

@@ -43,15 +43,14 @@ class WatermarkShim : public Shim {
     return store_->IsVisible(region, id.key, id.version);
   }
 
-  std::shared_ptr<StoreVisibility> visibility() const override { return store_->visibility(); }
+  const StoreVisibility* visibility() const override { return &store_->visibility(); }
 
   // Scope from the store's replica footprint: a region without a replica can
   // never read (or be stale on) this store's writes.
   RegionMask region_scope() const override { return store_->region_mask(); }
 
-  // Frontier waits ride the store's HLC-stamped apply watermark; only
-  // available when the store publishes visibility state (caching enabled).
-  bool SupportsFrontier() const override { return store_->visibility() != nullptr; }
+  // Frontier waits ride the store's HLC-stamped apply watermark.
+  bool SupportsFrontier() const override { return true; }
 
   void WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoint deadline,
                          WaitCallback done) override {

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "src/antipode/antipode.h"
 #include "src/apps/workload.h"
 #include "src/common/serialization.h"
+#include "src/common/sim.h"
 #include "src/context/request_context.h"
 #include "src/rpc/rpc.h"
 
@@ -35,8 +37,8 @@ class CompletionBoard {
   }
 
   Lineage WaitFor(const std::string& order_id) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return completed_.count(order_id) > 0; });
+    BlockUntil(mu_, cv_, TimePoint::max(), [&] { return completed_.count(order_id) > 0; });
+    std::lock_guard<std::mutex> lock(mu_);
     Lineage lineage = completed_[order_id];
     completed_.erase(order_id);
     return lineage;
@@ -48,19 +50,35 @@ class CompletionBoard {
   std::map<std::string, Lineage> completed_;
 };
 
+// Under an active simulation the app's stores run on a private deterministic
+// timer engine, so their timers are simulation events; otherwise on the
+// shared engine.
+std::unique_ptr<TimerService> SimTimers() {
+  if (SimScheduler::Active() == nullptr) {
+    return nullptr;
+  }
+  TimerServiceOptions options;
+  options.deterministic = true;
+  return std::make_unique<TimerService>(options);
+}
+
 class TrainTicketApp {
  public:
   explicit TrainTicketApp(const TrainTicketConfig& config)
       : config_(config),
         run_(g_run_counter.fetch_add(1, std::memory_order_relaxed)),
+        sim_timers_(SimTimers()),
         orders_(SqlStore::DefaultOptions("mysql-orders-" + std::to_string(run_),
-                                         {Region::kLocal})),
+                                         {Region::kLocal}),
+                &RegionTopology::Default(), Timers()),
         order_shim_(&orders_),
         payments_(SqlStore::DefaultOptions("mysql-payments-" + std::to_string(run_),
-                                           {Region::kLocal})),
+                                           {Region::kLocal}),
+                  &RegionTopology::Default(), Timers()),
         payment_shim_(&payments_),
         task_queue_(QueueStore::DefaultOptions("queue-tasks-" + std::to_string(run_),
-                                               {Region::kLocal})),
+                                               {Region::kLocal}),
+                    &RegionTopology::Default(), Timers()),
         queue_shim_(&task_queue_),
         payment_pool_(8, "payment"),
         service_registry_() {
@@ -83,6 +101,9 @@ class TrainTicketApp {
   }
 
   ~TrainTicketApp() {
+    // Refunds still in processing reference this app; wait them out first.
+    auto refunds = refunds_;
+    BlockUntil(refunds->mu, refunds->cv, TimePoint::max(), [&] { return refunds->pending == 0; });
     task_queue_.DrainReplication();
     service_registry_.ShutdownAll();
     payment_pool_.Shutdown();
@@ -98,8 +119,11 @@ class TrainTicketApp {
     const std::string order_id = "o" + std::to_string(run_) + "-" + std::to_string(sequence);
 
     RpcClient client(&service_registry_, Region::kLocal);
+    const TimePoint call_time = GlobalClock().Now();
     client.Call("cancel-order", "cancel", order_id);
     const TimePoint response_time = GlobalClock().Now();
+    cancel_latency_.Record(TimeScale::ToModelMillis(
+        std::chrono::duration_cast<Duration>(response_time - call_time)));
 
     // Poll until the refund is visible; the consistency window is the gap
     // between the response and refund visibility, and a *violation* is a
@@ -122,7 +146,7 @@ class TrainTicketApp {
   TrainTicketResult CollectResults(const WorkloadResult& workload) {
     TrainTicketResult result;
     result.throughput = workload.throughput;
-    result.cancel_latency_model_ms = workload.latency_model_millis;
+    result.cancel_latency_model_ms = cancel_latency_.Snapshot();
     result.consistency_window_model_ms = window_.Snapshot();
     result.requests = requests_.load();
     result.violations = violations_.load();
@@ -157,34 +181,61 @@ class TrainTicketApp {
     return std::string("cancelled");
   }
 
-  void SubscribePaymentConsumer() {
-    auto process = [this](const std::string& order_id) {
-      GlobalClock().SleepFor(TimeScale::FromModelMillis(kRefundWorkModelMillis));
+  // The refund's processing time elapses as a timer delay rather than as a
+  // sleep on the consumer thread: in simulation a sleeping event holds up
+  // every blocked caller beneath it, so the user would only see the
+  // cancellation response once the refund had landed.
+  void ProcessRefund(std::string order_id, Lineage lineage) {
+    auto refunds = refunds_;
+    {
+      std::lock_guard<std::mutex> lock(refunds->mu);
+      ++refunds->pending;
+    }
+    auto work = [this, refunds, order_id = std::move(order_id),
+                 lineage = std::move(lineage)]() mutable {
       Row refund{{"order_id", Value(order_id)}, {"amount", Value(static_cast<int64_t>(4200))}};
       if (config_.antipode) {
-        payment_shim_.InsertCtx(Region::kLocal, "refunds", std::move(refund));
-        board_.Signal(order_id, LineageApi::Current().value_or(Lineage()));
+        auto written = payment_shim_.Insert(Region::kLocal, "refunds", std::move(refund),
+                                            std::move(lineage));
+        board_.Signal(order_id, written.ok() ? std::move(*written) : Lineage());
       } else {
         payments_.Insert(Region::kLocal, "refunds", refund);
       }
+      {
+        std::lock_guard<std::mutex> lock(refunds->mu);
+        --refunds->pending;
+      }
+      refunds->cv.notify_all();
     };
+    if (!payments_.timers()->ScheduleAfter(TimeScale::FromModelMillis(kRefundWorkModelMillis),
+                                           std::move(work))) {
+      work();  // timer engine shut down: process inline
+    }
+  }
+
+  void SubscribePaymentConsumer() {
     if (config_.antipode) {
       queue_shim_.Subscribe(Region::kLocal, kRefundQueue, &payment_pool_,
-                            [process](const ConsumedMessage& message) {
-                              process(message.payload);
+                            [this](const ConsumedMessage& message) {
+                              ProcessRefund(message.payload, message.lineage);
                             });
     } else {
       task_queue_.Subscribe(Region::kLocal, kRefundQueue, &payment_pool_,
-                            [process](const BrokerMessage& message) {
-                              process(std::string(message.payload()));
+                            [this](const BrokerMessage& message) {
+                              ProcessRefund(std::string(message.payload()), Lineage());
                             });
     }
   }
 
   static constexpr char kRefundQueue[] = "refunds";
 
+  TimerService* Timers() const {
+    return sim_timers_ != nullptr ? sim_timers_.get() : &TimerService::Shared();
+  }
+
   const TrainTicketConfig config_;
   const uint64_t run_;
+  std::unique_ptr<TimerService> sim_timers_;  // null outside simulation
 
   SqlStore orders_;
   SqlShim order_shim_;
@@ -199,8 +250,17 @@ class TrainTicketApp {
   RpcService* cancel_service_ = nullptr;
 
   CompletionBoard board_;
+  // Refunds scheduled but not yet written. Co-owned by each pending timer so
+  // its final notify never touches a destroyed app.
+  struct PendingRefunds {
+    std::mutex mu;
+    std::condition_variable cv;
+    uint64_t pending = 0;
+  };
+  std::shared_ptr<PendingRefunds> refunds_ = std::make_shared<PendingRefunds>();
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> violations_{0};
+  ConcurrentHistogram cancel_latency_;
   ConcurrentHistogram window_;
 };
 

@@ -32,6 +32,8 @@ struct TrainTicketConfig {
 
 struct TrainTicketResult {
   double throughput = 0.0;
+  // Cancellation request -> response (the user's later refund check is not
+  // part of the request; it is what the consistency window measures).
   Histogram cancel_latency_model_ms;
   // Response returned -> both effects (status + refund) visible.
   Histogram consistency_window_model_ms;

@@ -3,6 +3,8 @@
 #include <condition_variable>
 #include <mutex>
 
+#include "src/common/sim.h"
+
 namespace antipode {
 
 WorkloadResult OpenLoopRunner::Run(const Options& options,
@@ -46,10 +48,7 @@ WorkloadResult OpenLoopRunner::Run(const Options& options,
     next_arrival += TimeScale::FromModelMillis(gap);
   }
 
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return inflight == 0; });
-  }
+  BlockUntil(mu, cv, TimePoint::max(), [&] { return inflight == 0; });
   const TimePoint finish = GlobalClock().Now();
   clients.Shutdown();
 

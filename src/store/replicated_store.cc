@@ -167,9 +167,6 @@ ReplicatedStore::ReplicatedStore(ReplicatedStoreOptions options, RegionTopology*
       }
     }
   }
-  if (options_.visibility_cache != nullptr) {
-    visibility_ = options_.visibility_cache->Register(options_.name, options_.regions);
-  }
   if (options_.fault_injector != nullptr) {
     // A manual ResumeStore on the injector replays whatever this store
     // buffered during the pause; finite fault windows schedule their own heal
@@ -219,9 +216,7 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
     std::lock_guard<std::mutex> lock(stamp_mu_);
     entry.seq = ++seq_counter_;
     entry.hlc = hlc_clock_->Tick();
-    if (visibility_) {
-      visibility_->NoteIssued(entry.seq, entry.hlc);
-    }
+    visibility_.NoteIssued(entry.seq);
   }
   if (span.has_value() && span->recording()) {
     // Replication shipments inherit the put span, so remote applies land in
@@ -251,9 +246,7 @@ uint64_t ReplicatedStore::Put(Region origin, const std::string& key, std::string
     span->Annotate("key", key);
     span->Annotate("version", entry.version);
   }
-  if (visibility_) {
-    visibility_->NoteApply(origin, entry.key, entry.version, entry.seq, entry.hlc);
-  }
+  visibility_.NoteApply(origin, entry.seq, entry.hlc);
   if (apply_hook_) {
     apply_hook_(origin, handle);
   }
@@ -323,11 +316,6 @@ bool ReplicatedStore::ScheduleStoreWork(Duration delay, TimerService::AffinityTo
 
 ReplicatedStore::~ReplicatedStore() {
   DrainReplication();
-  // Drop the name → state mapping so a later same-named store starts cold;
-  // outstanding shared_ptr holders (a barrier mid-probe) stay valid.
-  if (options_.visibility_cache != nullptr) {
-    options_.visibility_cache->Unregister(visibility_);
-  }
   // Manual pauses are keyed by store name in the (typically process-wide)
   // injector; clear them so a later same-named store doesn't inherit a stall.
   // The resume listener goes first: these ResumeStore calls must not replay
@@ -489,11 +477,8 @@ void ReplicatedStore::ApplyReplicated(Region region, const EntryHandle& handle) 
   }
   // Unconditional even when the record apply was a stale replay (a newer
   // version of the key outran this shipment): the watermark needs every
-  // ⟨seq, region⟩ exactly once, and NoteApply's per-key max logic already
-  // ignores the superseded version.
-  if (visibility_) {
-    visibility_->NoteApply(region, entry.key, entry.version, entry.seq, entry.hlc);
-  }
+  // ⟨seq, region⟩ exactly once.
+  visibility_.NoteApply(region, entry.seq, entry.hlc);
   if (apply_hook_) {
     apply_hook_(region, handle);
   }
@@ -501,9 +486,9 @@ void ReplicatedStore::ApplyReplicated(Region region, const EntryHandle& handle) 
 
 void ReplicatedStore::WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoint deadline,
                                         VisibilityCallback cb) const {
-  if (visibility_ == nullptr || !HasRegion(region)) {
-    // No frontier feed, or no replica at this region: nothing of this store's
-    // can be read (or be stale) there.
+  if (!HasRegion(region)) {
+    // No replica at this region: nothing of this store's can be read (or be
+    // stale) there.
     cb(Status::Ok());
     return;
   }
@@ -513,7 +498,7 @@ void ReplicatedStore::WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoi
     return;
   }
   std::shared_ptr<StoreVisibility::FrontierWaiter> waiter =
-      visibility_->AwaitFrontier(region, cut_hlc, std::move(cb));
+      visibility_.AwaitFrontier(region, cut_hlc, std::move(cb));
   if (waiter == nullptr) {
     cb(Status::Ok());  // already covered; AwaitFrontier left cb untouched
     return;

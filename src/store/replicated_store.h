@@ -25,6 +25,12 @@
 // that key registered for r — never the whole table, never another region's
 // — and `WaitVisibleAsync` lets a barrier fan waits out across many stores
 // without parking a thread per dependency.
+//
+// The record is the only per-key visibility fact. The store's
+// `StoreVisibility` (visibility()) answers the barrier's zero-wait probe from
+// it under the same shard lock, and adds what no single record can: the
+// per-⟨store, region⟩ apply watermark and HLC stabilization frontier, fed by
+// every apply (DESIGN.md §8, §12).
 
 #ifndef SRC_STORE_REPLICATED_STORE_H_
 #define SRC_STORE_REPLICATED_STORE_H_
@@ -42,7 +48,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/antipode/visibility_cache.h"
 #include "src/common/clock.h"
 #include "src/common/object_pool.h"
 #include "src/common/status.h"
@@ -50,6 +55,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/net/region.h"
 #include "src/store/replication_profile.h"
+#include "src/store/store_visibility.h"
 #include "src/store/store_metrics.h"
 
 namespace antipode {
@@ -68,8 +74,8 @@ struct StoredEntry {
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
   // Per-store write sequence number (1-based, dense): stamped by Put,
-  // independent of the per-key version. Drives the visibility cache's
-  // per-region apply low-watermark.
+  // independent of the per-key version. Drives the store's per-region apply
+  // low-watermark (StoreVisibility).
   uint64_t seq = 0;
   // Hybrid-logical-clock stamp drawn from the process-wide HlcClock in the
   // same critical section that assigns `seq`, so stamps are monotone in seq —
@@ -180,11 +186,6 @@ struct ReplicatedStoreOptions {
   // Fixed per-write schema overhead (bytes) added to metrics, e.g. secondary
   // index entries. Configured by shims that alter the data model.
   size_t per_write_overhead_bytes = 0;
-  // Visibility cache this store publishes apply notifications to (nullptr
-  // disables publication — the store still works, barriers just never hit).
-  // The process-wide default is right for deployments; benches that model
-  // private store fleets pass their own instance.
-  VisibilityCache* visibility_cache = &VisibilityCache::Default();
   // Fault injector this store consults on the apply/wait/replication paths
   // (nullptr disables injection and falls back to store-local pause flags).
   FaultInjector* fault_injector = &FaultInjector::Default();
@@ -252,9 +253,9 @@ class ReplicatedStore {
   void WaitFrontierAsync(Region region, uint64_t cut_hlc, TimePoint deadline,
                          VisibilityCallback cb) const;
 
-  // This store's visibility-cache state; nullptr when publication is
-  // disabled. Shims hand it to barriers for the zero-wait fast path.
-  const std::shared_ptr<StoreVisibility>& visibility() const { return visibility_; }
+  // This store's visibility state: the record-backed probe and the apply
+  // watermark/frontier. Shims hand it to barriers for the zero-wait fast path.
+  const StoreVisibility& visibility() const { return visibility_; }
 
   const std::string& name() const { return options_.name; }
   const std::vector<Region>& regions() const { return options_.regions; }
@@ -312,6 +313,10 @@ class ReplicatedStore {
                          std::function<void()> fn);
 
  private:
+  // Reads the per-key records (IsVisible, StampCovering) under their shard
+  // lock.
+  friend class StoreVisibility;
+
   // A wait registered on one ⟨key, region⟩. The first claimer (apply,
   // deadline timer, or timed-out sync waiter) wins; only the winner may
   // invoke `cb` or abandon the waiter.
@@ -401,15 +406,15 @@ class ReplicatedStore {
   // Dense per-store write sequence and its pairing with the HLC stamp
   // (StoredEntry::seq / ::hlc sources). One lock covers both assignments plus
   // the NoteIssued publication, so stamps are monotone in seq and the
-  // visibility cache's issued high-water mark advances in stamping order.
+  // tracker's issued high-water mark advances in stamping order.
   std::mutex stamp_mu_;
   uint64_t seq_counter_ = 0;
   // Remote shipping targets per origin, precomputed at construction so the
   // Put fan-out iterates a dense array instead of re-filtering
   // options_.regions (or building a per-call destinations vector) per write.
   std::array<std::vector<Region>, kNumRegions> remote_destinations_;
-  // Registered visibility state (nullptr when options_.visibility_cache is).
-  std::shared_ptr<StoreVisibility> visibility_;
+  // Watermark/frontier tracker and record-backed probe (visibility()).
+  StoreVisibility visibility_{*this};
 
   // The per-key records, lock-striped by key hash.
   mutable std::array<Shard, kNumShards> shards_;
@@ -444,7 +449,7 @@ class ReplicatedStore {
 
   // The unconditional half of ApplyAt: record apply + visibility
   // notification + apply hook. Backlog replay goes through ApplyAt (which
-  // calls this), so the cache sees every ⟨seq, region⟩ exactly once
+  // calls this), so the tracker sees every ⟨seq, region⟩ exactly once
   // regardless of stalls.
   void ApplyReplicated(Region region, const EntryHandle& handle);
 

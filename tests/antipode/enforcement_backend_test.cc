@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/antipode/barrier.h"
+#include "src/antipode/dynamo_shim.h"
 #include "src/antipode/kv_shim.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -38,7 +39,7 @@ class EnforcementBackendTest : public ::testing::TestWithParam<EnforcementBacken
   void SetUp() override { TimeScale::Set(0.02); }
   void TearDown() override { TimeScale::Set(1.0); }
 
-  // Store names are global (they key the default visibility cache), so each
+  // Store names key the process-wide fault injector and metrics, so each
   // test × backend instantiation tags its own deployment.
   std::string Tag(const std::string& base) const {
     return base + "-" + std::string(EnforcementBackendKindName(GetParam()));
@@ -172,19 +173,18 @@ TEST_P(EnforcementBackendTest, StallScheduleDelaysButNeverBreaks) {
   store.DrainReplication();
 }
 
-// A deployment mixing frontier-capable stores with stores that publish no
-// visibility state (no cache ⇒ no HLC frontier) must still enforce: the
-// stable-frontier backend falls back to per-dependency waits for the latter.
+// A deployment mixing frontier-capable stores with a store whose shim serves
+// no frontier (DynamoShim waits through strong reads) must still enforce: the
+// stable-frontier encoding falls back to per-dependency waits for the latter.
 TEST_P(EnforcementBackendTest, MixedFrontierAndFallbackStores) {
-  auto cached = KvStore::DefaultOptions(Tag("eb-mixA"), kRegions);
-  cached.replication.median_millis = 5.0;
-  KvStore store_a(std::move(cached));
-  auto uncached = KvStore::DefaultOptions(Tag("eb-mixB"), kRegions);
-  uncached.replication.median_millis = 5.0;
-  uncached.visibility_cache = nullptr;
-  KvStore store_b(std::move(uncached));
+  auto kv_options = KvStore::DefaultOptions(Tag("eb-mixA"), kRegions);
+  kv_options.replication.median_millis = 5.0;
+  KvStore store_a(std::move(kv_options));
+  auto dynamo_options = DynamoStore::DefaultOptions(Tag("eb-mixB"), kRegions);
+  dynamo_options.replication.median_millis = 5.0;
+  DynamoStore store_b(std::move(dynamo_options));
   KvShim shim_a(&store_a);
-  KvShim shim_b(&store_b);
+  DynamoShim shim_b(&store_b);
   EXPECT_TRUE(shim_a.SupportsFrontier());
   EXPECT_FALSE(shim_b.SupportsFrontier());
   ShimRegistry registry;
@@ -192,12 +192,17 @@ TEST_P(EnforcementBackendTest, MixedFrontierAndFallbackStores) {
   registry.Register(&shim_b);
 
   Lineage lineage = shim_a.Write(Region::kUs, "ka", "va", Lineage(1));
-  lineage = shim_b.Write(Region::kUs, "kb", "vb", std::move(lineage));
-  ASSERT_TRUE(Barrier(lineage, Region::kEu, Options(&registry)).ok());
+  auto with_b = shim_b.PutItem(Region::kUs, "t", "kb", Document{{"b", Value("vb")}},
+                               std::move(lineage));
+  ASSERT_TRUE(with_b.ok());
+  ASSERT_TRUE(Barrier(*with_b, Region::kEu, Options(&registry)).ok());
   EXPECT_TRUE(store_a.IsVisible(Region::kEu, "ka", 1));
-  EXPECT_TRUE(store_b.IsVisible(Region::kEu, "kb", 1));
+  // A strong-read wait proves the authority has the write, so a consistent
+  // read at EU sees it; the EU replica itself catches up by the drain.
+  EXPECT_TRUE(shim_b.GetItemConsistent(Region::kEu, "t", "kb").ok());
   store_a.DrainReplication();
   store_b.DrainReplication();
+  EXPECT_TRUE(store_b.IsVisible(Region::kEu, DynamoStore::ItemKey("t", "kb"), 1));
 }
 
 // Global enforcement across every region, under both strategies.

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 
+#include "src/antipode/kv_shim.h"
 #include "src/common/random.h"
+#include "src/fault/fault_injector.h"
+#include "src/store/kv_store.h"
 
 namespace antipode {
 namespace {
@@ -380,18 +383,26 @@ TEST(LineageTest, TransferMergesScopes) {
 }
 
 TEST(LineageTest, PruneNarrowsScopeAndDropsVisibleEverywhere) {
-  VisibilityCache cache;
-  auto vis = cache.Register("prune-s", {Region::kUs, Region::kEu});
-  vis->NoteVisible(Region::kUs, "half", 1);
-  vis->NoteVisible(Region::kUs, "done", 1);
-  vis->NoteVisible(Region::kEu, "done", 1);
+  FaultInjector injector;
+  auto options = KvStore::DefaultOptions("prune-s", {Region::kUs, Region::kEu});
+  options.replication.median_millis = 1.0;
+  options.fault_injector = &injector;
+  KvStore store(std::move(options));
+  KvShim shim(&store);
+  ShimRegistry registry;
+  registry.Register(&shim);
+  store.Set(Region::kUs, "done", "v");
+  store.DrainReplication();
+  injector.PauseStore("prune-s", Region::kEu);
+  store.Set(Region::kUs, "half", "v");
+  store.DrainReplication();  // shipped, but buffered behind the pause
 
   Lineage lineage(9);
   lineage.Append(Id("prune-s", "half", 1));  // visible at US only
   lineage.Append(Id("prune-s", "done", 1));  // visible at both replicas
   lineage.Append(Id("prune-s", "cold", 1));  // visible nowhere yet
   lineage.Append(Id("unknown-store", "k", 1));
-  EXPECT_EQ(lineage.PruneVisibleEverywhere(cache), 1u);
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry), 1u);
   ASSERT_EQ(lineage.Size(), 3u);
   // The store only replicates to {US, EU}, so scopes narrow to the footprint;
   // "half" additionally sheds the US bit it was proven visible at.
@@ -399,9 +410,10 @@ TEST(LineageTest, PruneNarrowsScopeAndDropsVisibleEverywhere) {
   EXPECT_EQ(lineage.deps()[0].scope, RegionMaskOf({Region::kUs, Region::kEu}));
   EXPECT_EQ(lineage.deps()[1].key, "half");
   EXPECT_EQ(lineage.deps()[1].scope, RegionMaskOf({Region::kEu}));
-  // Dependencies on stores the cache does not know keep their full scope.
+  // Dependencies on stores the registry does not know keep their full scope.
   EXPECT_EQ(lineage.deps()[2].store, "unknown-store");
   EXPECT_EQ(lineage.deps()[2].scope, kAllRegionsMask);
+  injector.ResumeStore("prune-s", Region::kEu);
 }
 
 TEST(LineageTest, ToStringListsDeps) {

@@ -1,9 +1,10 @@
-// Visibility cache: unit coverage of the watermark/per-key split, the barrier
-// fast path (warm vs cold, BarrierGlobal and BarrierDryRun across 3 regions),
-// batched waits, lineage pruning, and a TSan-labelled stress test racing
-// cache population (applies) against barrier lookups.
+// Store visibility (DESIGN.md §8): the record-backed probe and the per-region
+// watermark/frontier tracker, the barrier fast path (warm vs cold,
+// BarrierGlobal and BarrierDryRun across 3 regions), batched waits, lineage
+// pruning through a shim registry, and a TSan-labelled stress test racing
+// applies against barrier lookups.
 
-#include "src/antipode/visibility_cache.h"
+#include "src/store/store_visibility.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "src/antipode/barrier.h"
 #include "src/antipode/kv_shim.h"
 #include "src/common/random.h"
+#include "src/fault/fault_injector.h"
 #include "src/obs/metrics.h"
 #include "src/store/kv_store.h"
 
@@ -44,35 +46,76 @@ class VisibilityCacheTest : public ::testing::Test {
   void TearDown() override { TimeScale::Set(1.0); }
 };
 
+// A store with replication stalled at `paused` (through its own injector),
+// so tests control exactly which regions have applied a write.
+struct PausedKv {
+  PausedKv(const std::string& name, Region paused,
+           const std::vector<Region>& regions = kThreeRegions)
+      : store([&] {
+          auto options = SlowKv(name, 10.0, regions);
+          options.fault_injector = &injector;
+          return options;
+        }()),
+        paused_region(paused) {
+    injector.PauseStore(name, paused);
+  }
+  ~PausedKv() { Resume(); }
+  void Resume() { injector.ResumeStore(store.name(), paused_region); }
+
+  FaultInjector injector;
+  KvStore store;
+  Region paused_region;
+};
+
 TEST_F(VisibilityCacheTest, PerKeyHitAndMiss) {
-  StoreVisibility vis("s", {Region::kUs, Region::kEu});
+  PausedKv kv("vc-perkey", Region::kEu, {Region::kUs, Region::kEu});
+  const StoreVisibility& vis = kv.store.visibility();
   EXPECT_FALSE(vis.IsVisible(Region::kUs, "k", 1));
-  vis.NoteApply(Region::kUs, "k", 1, 1);
+  kv.store.Set(Region::kUs, "k", "v");
   EXPECT_TRUE(vis.IsVisible(Region::kUs, "k", 1));
   EXPECT_FALSE(vis.IsVisible(Region::kEu, "k", 1));  // not applied there yet
   EXPECT_FALSE(vis.IsVisible(Region::kUs, "k", 2));  // newer version unknown
   // A hit on version N covers every older version of the key.
-  vis.NoteApply(Region::kUs, "k", 5, 2);
+  for (int i = 0; i < 4; ++i) kv.store.Set(Region::kUs, "k", "v");
   EXPECT_TRUE(vis.IsVisible(Region::kUs, "k", 3));
 }
 
 TEST_F(VisibilityCacheTest, UntrackedRegionNeverHits) {
-  StoreVisibility vis("s", {Region::kUs, Region::kEu});
-  vis.NoteApply(Region::kUs, "k", 1, 1);
-  EXPECT_FALSE(vis.IsVisible(Region::kSg, "k", 1));
+  KvStore store(SlowKv("vc-untracked", 10.0, {Region::kUs, Region::kEu}));
+  store.Set(Region::kUs, "k", "v");
+  store.DrainReplication();
+  EXPECT_FALSE(store.visibility().IsVisible(Region::kSg, "k", 1));
+  // The store's own probe is vacuously true there (nothing to be stale on);
+  // the barrier probe is strict and leaves that region to the scope filter.
+  EXPECT_TRUE(store.IsVisible(Region::kSg, "k", 1));
+}
+
+TEST_F(VisibilityCacheTest, StampCoveringNamesTheLatestWrite) {
+  PausedKv kv("vc-stamp", Region::kEu, {Region::kUs, Region::kEu});
+  const StoreVisibility& vis = kv.store.visibility();
+  EXPECT_EQ(vis.StampCovering("k", 1), 0u);  // no write yet
+  kv.store.Set(Region::kUs, "k", "v");
+  kv.store.Set(Region::kUs, "k", "v");
+  const uint64_t latest_hlc = kv.store.Get(Region::kUs, "k")->hlc;
+  ASSERT_NE(latest_hlc, 0u);
+  // Known from the origin apply on, wherever the write still travels.
+  EXPECT_EQ(vis.StampCovering("k", 1), latest_hlc);
+  EXPECT_EQ(vis.StampCovering("k", 2), latest_hlc);
+  EXPECT_EQ(vis.StampCovering("k", 3), 0u);  // nothing supersedes v3 yet
 }
 
 TEST_F(VisibilityCacheTest, WatermarkAdvancesOnContiguousPrefix) {
-  StoreVisibility vis("s", {Region::kUs});
-  vis.NoteApply(Region::kUs, "a", 1, 1);
+  KvStore idle(SlowKv("vc-watermark", 10.0, {Region::kUs}));
+  StoreVisibility vis(idle);
+  vis.NoteApply(Region::kUs, 1);
   EXPECT_EQ(vis.watermark(Region::kUs), 1u);
   // Out-of-order arrival: seq 3 parks until seq 2 fills the gap.
-  vis.NoteApply(Region::kUs, "c", 1, 3);
+  vis.NoteApply(Region::kUs, 3);
   EXPECT_EQ(vis.watermark(Region::kUs), 1u);
-  vis.NoteApply(Region::kUs, "b", 1, 2);
+  vis.NoteApply(Region::kUs, 2);
   EXPECT_EQ(vis.watermark(Region::kUs), 3u);
   // Duplicate notifications do not double-advance.
-  vis.NoteApply(Region::kUs, "b", 1, 2);
+  vis.NoteApply(Region::kUs, 2);
   EXPECT_EQ(vis.watermark(Region::kUs), 3u);
 }
 
@@ -112,6 +155,7 @@ struct SeqTrackerModel {
 // step the model's condition first holds.
 TEST_F(VisibilityCacheTest, SeqTrackerMatchesOrderedMapModel) {
   constexpr uint64_t kSeqs = 600;
+  KvStore idle(SlowKv("tracker-model", 10.0, {Region::kUs}));
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -135,8 +179,8 @@ TEST_F(VisibilityCacheTest, SeqTrackerMatchesOrderedMapModel) {
     }
     std::sort(arrivals.begin(), arrivals.end());
 
-    StoreVisibility vis("tracker-model", {Region::kUs});
-    vis.NoteIssued(kSeqs, hlc[kSeqs]);
+    StoreVisibility vis(idle);
+    vis.NoteIssued(kSeqs);
     SeqTrackerModel model;
     struct Waiter {
       uint64_t cut;
@@ -157,7 +201,7 @@ TEST_F(VisibilityCacheTest, SeqTrackerMatchesOrderedMapModel) {
         if (waiter == nullptr) *fired = step;  // already covered at registration
         waiters.push_back({cut, model.Covers(cut, kSeqs) ? step : -1, fired});
       }
-      vis.NoteApply(Region::kUs, "k" + std::to_string(seq), 1, seq, hlc[seq]);
+      vis.NoteApply(Region::kUs, seq, hlc[seq]);
       model.Apply(seq, hlc[seq]);
       ASSERT_EQ(vis.watermark(Region::kUs), model.watermark) << "step " << step;
       ASSERT_EQ(vis.FrontierHlc(Region::kUs), model.frontier) << "step " << step;
@@ -170,85 +214,117 @@ TEST_F(VisibilityCacheTest, SeqTrackerMatchesOrderedMapModel) {
 }
 
 TEST_F(VisibilityCacheTest, WatermarkCoversOldWritesOfAKey) {
-  StoreVisibility vis("s", {Region::kUs, Region::kEu});
-  // Key written twice at US (seqs 1, 2); EU has only seen the newer apply.
-  vis.NoteApply(Region::kUs, "k", 1, 1);
-  vis.NoteApply(Region::kUs, "k", 2, 2);
-  vis.NoteApply(Region::kEu, "k", 2, 2);
-  // EU's per-key fact covers version 1 directly (visible[eu] = 2 >= 1).
+  // The record keeps the highest version applied per region, so a newer
+  // apply covers every older write of the key at that region.
+  PausedKv kv("vc-oldwrites", Region::kEu, {Region::kUs, Region::kEu});
+  kv.store.Set(Region::kUs, "k", "v1");
+  kv.store.Set(Region::kUs, "k", "v2");
+  kv.store.DrainReplication();
+  const StoreVisibility& vis = kv.store.visibility();
+  EXPECT_FALSE(vis.IsVisible(Region::kEu, "k", 1));
+  kv.Resume();
   EXPECT_TRUE(vis.IsVisible(Region::kEu, "k", 1));
-  // Watermark coverage: a *different* key's old write, known only through the
-  // latest-write seq sitting at or below the watermark.
-  vis.NoteApply(Region::kUs, "x", 1, 3);
-  vis.NoteApply(Region::kEu, "x", 1, 3);
-  EXPECT_EQ(vis.watermark(Region::kEu), 0u);  // seq 1 never applied at EU...
-  vis.NoteApply(Region::kEu, "k", 1, 1);      // ...until the stale replay lands
-  EXPECT_EQ(vis.watermark(Region::kEu), 3u);
-  EXPECT_TRUE(vis.IsVisible(Region::kEu, "x", 1));
-}
+  EXPECT_TRUE(vis.IsVisible(Region::kEu, "k", 2));
+  EXPECT_EQ(vis.watermark(Region::kEu), 2u);
 
-TEST_F(VisibilityCacheTest, NoteVisibleFeedsPerKeyOnly) {
-  StoreVisibility vis("s", {Region::kUs});
-  vis.NoteVisible(Region::kUs, "k", 4);
-  EXPECT_TRUE(vis.IsVisible(Region::kUs, "k", 4));
-  EXPECT_TRUE(vis.IsVisible(Region::kUs, "k", 2));
-  EXPECT_EQ(vis.watermark(Region::kUs), 0u);  // seq unknown: watermark untouched
+  // The watermark itself waits for the oldest gap: a stale replay of seq 1
+  // landing last is what lifts it past the newer applies.
+  KvStore idle(SlowKv("vc-oldwrites-idle", 10.0, {Region::kUs, Region::kEu}));
+  StoreVisibility tracker(idle);
+  tracker.NoteApply(Region::kEu, 2);
+  tracker.NoteApply(Region::kEu, 3);
+  EXPECT_EQ(tracker.watermark(Region::kEu), 0u);  // seq 1 never applied at EU...
+  tracker.NoteApply(Region::kEu, 1);              // ...until the stale replay lands
+  EXPECT_EQ(tracker.watermark(Region::kEu), 3u);
 }
 
 TEST_F(VisibilityCacheTest, VisibleEverywhereRequiresAllRegions) {
-  StoreVisibility vis("s", {Region::kUs, Region::kEu, Region::kSg});
-  vis.NoteApply(Region::kUs, "k", 1, 1);
-  vis.NoteApply(Region::kEu, "k", 1, 1);
-  EXPECT_FALSE(vis.IsVisibleEverywhere("k", 1));
-  vis.NoteApply(Region::kSg, "k", 1, 1);
-  EXPECT_TRUE(vis.IsVisibleEverywhere("k", 1));
-  EXPECT_EQ(vis.MinWatermark(), 1u);
+  PausedKv kv("vc-everywhere", Region::kSg);
+  KvShim shim(&kv.store);
+  ShimRegistry registry;
+  registry.Register(&shim);
+  Lineage lineage = shim.Write(Region::kUs, "k", "v", Lineage(1));
+  kv.store.DrainReplication();  // applied at US and EU; SG buffers it
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry), 0u);
+  ASSERT_EQ(lineage.Size(), 1u);
+  EXPECT_EQ(lineage.deps()[0].scope, RegionMaskOf({Region::kSg}));
+  kv.Resume();
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry), 1u);
+  EXPECT_TRUE(lineage.Empty());
+  for (Region region : kThreeRegions) {
+    EXPECT_EQ(kv.store.visibility().watermark(region), 1u) << RegionName(region);
+  }
+}
+
+// Two live stores may share a name (lineage dependencies name stores, but
+// each deployment resolves names through its own registry). Pruning must ask
+// the store the registry names, never another same-named one.
+TEST_F(VisibilityCacheTest, SameNamedStoresPruneThroughTheirOwnRegistry) {
+  PausedKv a("vc-twin", Region::kEu, {Region::kUs, Region::kEu});
+  KvShim shim_a(&a.store);
+  ShimRegistry registry_a;
+  registry_a.Register(&shim_a);
+  Lineage lineage = shim_a.Write(Region::kUs, "k", "v", Lineage(1));
+  a.store.DrainReplication();  // EU buffers it
+
+  // B: same name, same ⟨key, version⟩, applied everywhere — created last.
+  KvStore b(SlowKv("vc-twin", 1.0, {Region::kUs, Region::kEu}));
+  KvShim shim_b(&b);
+  ShimRegistry registry_b;
+  registry_b.Register(&shim_b);
+  b.Set(Region::kUs, "k", "v");
+  b.DrainReplication();
+  ASSERT_TRUE(b.visibility().IsVisible(Region::kEu, "k", 1));
+
+  Lineage through_b = lineage;
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry_a), 0u);
+  ASSERT_EQ(lineage.Size(), 1u);
+  EXPECT_EQ(lineage.deps()[0].scope, RegionMaskOf({Region::kEu}));
+  EXPECT_FALSE(BarrierDryRun(lineage, Region::kEu, &registry_a).consistent);
+  // The same dependency really is visible everywhere in B's deployment.
+  EXPECT_EQ(PruneVisibleEverywhere(through_b, registry_b), 1u);
 }
 
 TEST_F(VisibilityCacheTest, ReRegisterStartsCold) {
-  VisibilityCache cache;
-  auto first = cache.Register("s", {Region::kUs});
-  first->NoteApply(Region::kUs, "k", 1, 1);
-  EXPECT_TRUE(cache.Find("s")->IsVisible(Region::kUs, "k", 1));
+  auto first = std::make_unique<KvStore>(SlowKv("vc-recreate", 1.0, {Region::kUs}));
+  first->Set(Region::kUs, "k", "v");
+  EXPECT_TRUE(first->visibility().IsVisible(Region::kUs, "k", 1));
   // A re-created same-named store must not inherit the old facts.
-  auto second = cache.Register("s", {Region::kUs});
-  EXPECT_FALSE(cache.Find("s")->IsVisible(Region::kUs, "k", 1));
-  // Unregistering the *stale* handle must not evict the live one.
-  cache.Unregister(first);
-  EXPECT_EQ(cache.Find("s"), second);
-  cache.Unregister(second);
-  EXPECT_EQ(cache.Find("s"), nullptr);
+  KvStore second(SlowKv("vc-recreate", 1.0, {Region::kUs}));
+  EXPECT_FALSE(second.visibility().IsVisible(Region::kUs, "k", 1));
+  EXPECT_EQ(second.visibility().StampCovering("k", 1), 0u);
+  EXPECT_EQ(second.visibility().watermark(Region::kUs), 0u);
+  // Destroying the older store leaves the live one's state untouched.
+  first.reset();
+  second.Set(Region::kUs, "k", "v");
+  EXPECT_TRUE(second.visibility().IsVisible(Region::kUs, "k", 1));
+  EXPECT_EQ(second.visibility().watermark(Region::kUs), 1u);
 }
 
 TEST_F(VisibilityCacheTest, StorePopulatesCacheOnApply) {
-  VisibilityCache cache;
-  auto options = SlowKv("vc-populate", 30.0);
-  options.visibility_cache = &cache;
-  KvStore store(options);
-  auto vis = store.visibility();
-  ASSERT_NE(vis, nullptr);
+  KvStore store(SlowKv("vc-populate", 30.0));
+  const StoreVisibility& vis = store.visibility();
   store.Set(Region::kUs, "k", "v");
-  EXPECT_TRUE(vis->IsVisible(Region::kUs, "k", 1));  // origin apply is synchronous
+  EXPECT_TRUE(vis.IsVisible(Region::kUs, "k", 1));  // origin apply is synchronous
   store.DrainReplication();
-  EXPECT_TRUE(vis->IsVisible(Region::kEu, "k", 1));
-  EXPECT_TRUE(vis->IsVisible(Region::kSg, "k", 1));
-  EXPECT_TRUE(vis->IsVisibleEverywhere("k", 1));
-  EXPECT_EQ(vis->MinWatermark(), 1u);
+  EXPECT_TRUE(vis.IsVisible(Region::kEu, "k", 1));
+  EXPECT_TRUE(vis.IsVisible(Region::kSg, "k", 1));
+  for (Region region : kThreeRegions) {
+    EXPECT_EQ(vis.watermark(region), 1u) << RegionName(region);
+  }
 }
 
 TEST_F(VisibilityCacheTest, PausedReplicationDoesNotPopulate) {
-  VisibilityCache cache;
   auto options = SlowKv("vc-pause", 10.0, {Region::kUs, Region::kEu});
-  options.visibility_cache = &cache;
   KvStore store(options);
   store.fault_injector()->PauseStore(store.name(), Region::kEu);
   store.Set(Region::kUs, "k", "v");
   store.DrainReplication();  // shipment fired, but the entry is buffered
-  auto vis = store.visibility();
-  EXPECT_FALSE(vis->IsVisible(Region::kEu, "k", 1));
+  const StoreVisibility& vis = store.visibility();
+  EXPECT_FALSE(vis.IsVisible(Region::kEu, "k", 1));
   store.fault_injector()->ResumeStore(store.name(), Region::kEu);
-  EXPECT_TRUE(vis->IsVisible(Region::kEu, "k", 1));
-  EXPECT_EQ(vis->watermark(Region::kEu), 1u);
+  EXPECT_TRUE(vis.IsVisible(Region::kEu, "k", 1));
+  EXPECT_EQ(vis.watermark(Region::kEu), 1u);
 }
 
 // --- Barrier fast path -----------------------------------------------------
@@ -259,7 +335,7 @@ TEST_F(VisibilityCacheTest, BarrierCacheWarmPathIsZeroWait) {
   ShimRegistry registry;
   registry.Register(&shim);
   Lineage lineage = shim.Write(Region::kUs, "k", "v", Lineage(1));
-  store.DrainReplication();  // cache now warm at every region
+  store.DrainReplication();  // applied at every region
 
   const uint64_t zero_wait_before = CounterValue("barrier.zero_wait");
   const uint64_t hits_before = CounterValue("barrier.cache_hit");
@@ -270,7 +346,6 @@ TEST_F(VisibilityCacheTest, BarrierCacheWarmPathIsZeroWait) {
   EXPECT_EQ(CounterValue("barrier.cache_hit"), hits_before + 3);  // 3 regions x 1 dep
   // Zero registry traffic: no waiter was registered or woken.
   EXPECT_EQ(store.TotalWakeups().waiters_notified, waiters_before);
-  EXPECT_EQ(store.visibility()->KeyCount(), 1u);
 }
 
 TEST_F(VisibilityCacheTest, BarrierColdPathStillBlocksUntilVisible) {
@@ -286,7 +361,8 @@ TEST_F(VisibilityCacheTest, BarrierColdPathStillBlocksUntilVisible) {
   EXPECT_TRUE(store.IsVisible(Region::kEu, "k", 1));
   EXPECT_TRUE(store.IsVisible(Region::kSg, "k", 1));
   EXPECT_GT(CounterValue("barrier.cache_miss"), misses_before);
-  // The completed waits fed the cache: the same barrier again is free.
+  // The waits completed because the records show the write, so the same
+  // barrier again is free.
   const uint64_t zero_wait_before = CounterValue("barrier.zero_wait");
   EXPECT_TRUE(
       BarrierGlobal(lineage, kThreeRegions, BarrierOptions{.registry = &registry}).ok());
@@ -321,7 +397,7 @@ TEST_F(VisibilityCacheTest, DryRunWarmVsCold) {
   EXPECT_EQ(cold.unmet[0].key, "k");
 
   store.DrainReplication();
-  // Warm via the cache (applies populated it): consistent at all 3 regions.
+  // Warm via the record probe: consistent at all 3 regions.
   for (Region region : kThreeRegions) {
     BarrierDryRunResult warm = BarrierDryRun(lineage, region, &registry);
     EXPECT_TRUE(warm.consistent) << RegionName(region);
@@ -389,13 +465,13 @@ TEST_F(VisibilityCacheTest, WaitVisibleBatchAsyncEmptyAndVisible) {
 // --- Lineage pruning -------------------------------------------------------
 
 TEST_F(VisibilityCacheTest, PruneDropsOnlyVisibleEverywhereDeps) {
-  VisibilityCache cache;
-  auto fast_options = SlowKv("vc-prune-fast", 5.0);
-  fast_options.visibility_cache = &cache;
-  KvStore fast(fast_options);
-  auto slow_options = SlowKv("vc-prune-slow", 100000.0);
-  slow_options.visibility_cache = &cache;
-  KvStore slow(slow_options);
+  KvStore fast(SlowKv("vc-prune-fast", 5.0));
+  KvStore slow(SlowKv("vc-prune-slow", 100000.0));
+  KvShim fast_shim(&fast);
+  KvShim slow_shim(&slow);
+  ShimRegistry registry;
+  registry.Register(&fast_shim);
+  registry.Register(&slow_shim);
 
   Lineage lineage(1);
   fast.Set(Region::kUs, "done", "v");
@@ -406,7 +482,7 @@ TEST_F(VisibilityCacheTest, PruneDropsOnlyVisibleEverywhereDeps) {
   fast.DrainReplication();
 
   const size_t wire_before = lineage.WireSize();
-  EXPECT_EQ(lineage.PruneVisibleEverywhere(cache), 1u);
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry), 1u);
   EXPECT_EQ(lineage.Size(), 2u);
   EXPECT_FALSE(lineage.Contains(WriteId{"vc-prune-fast", "done", 1}));
   // Still-replicating and unknown-store deps survive.
@@ -414,10 +490,10 @@ TEST_F(VisibilityCacheTest, PruneDropsOnlyVisibleEverywhereDeps) {
   EXPECT_TRUE(lineage.Contains(WriteId{"unknown-store", "k", 1}));
   EXPECT_LT(lineage.WireSize(), wire_before);
   // Idempotent: nothing more to prune.
-  EXPECT_EQ(lineage.PruneVisibleEverywhere(cache), 0u);
+  EXPECT_EQ(PruneVisibleEverywhere(lineage, registry), 0u);
 }
 
-// --- Stress: cache population races barrier lookups (run under TSan) -------
+// --- Stress: applies race barrier lookups (run under TSan) ------------------
 
 TEST_F(VisibilityCacheTest, CacheStressPopulationRacesLookups) {
   KvStore store(SlowKv("vc-stress", 3.0));
@@ -449,17 +525,20 @@ TEST_F(VisibilityCacheTest, CacheStressPopulationRacesLookups) {
       }
     });
   }
-  // Reader threads hammer cache lookups and dry-runs while applies populate.
+  // Reader threads hammer record probes, stamps, pruning and dry-runs while
+  // applies land.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
-      auto vis = store.visibility();
+      const StoreVisibility& vis = store.visibility();
       Lineage probe(1);
       probe.Append(WriteId{"vc-stress", "k00", 1});
       while (!stop.load(std::memory_order_acquire)) {
-        vis->IsVisible(Region::kEu, "k11", 1);
-        vis->IsVisibleEverywhere("k00", 1);
-        vis->MinWatermark();
+        vis.IsVisible(Region::kEu, "k11", 1);
+        vis.StampCovering("k00", 1);
+        vis.watermark(Region::kSg);
+        Lineage pruned = probe;
+        PruneVisibleEverywhere(pruned, registry);
         BarrierDryRun(probe, Region::kSg, &registry);
       }
     });
@@ -472,10 +551,10 @@ TEST_F(VisibilityCacheTest, CacheStressPopulationRacesLookups) {
 
   // After the dust settles every write is visible everywhere, so the final
   // watermark equals the total number of writes at every region.
-  auto vis = store.visibility();
+  const StoreVisibility& vis = store.visibility();
   const uint64_t total = kWriters * kWritesPerWriter;
   for (Region region : kThreeRegions) {
-    EXPECT_EQ(vis->watermark(region), total) << RegionName(region);
+    EXPECT_EQ(vis.watermark(region), total) << RegionName(region);
   }
 }
 

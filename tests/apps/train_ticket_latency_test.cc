@@ -1,20 +1,24 @@
 // TrainTicket latency-vs-consistency trade-off (§7.1), isolated from the
 // main apps suite.
 //
-// This test compares latencies between two back-to-back in-process load runs
-// at a gentle TimeScale. The deterministic model-time delta (the barrier on
-// the cancellation path) is a few model milliseconds, which CPU contention
-// from a parallel ctest schedule can swamp — the seed suite's only flake.
-// Two defenses:
-//   * the test binary is registered RUN_SERIAL, so no other test shares the
-//     machine while it runs;
-//   * the comparison uses medians, which shrug off the scheduling-noise tail
-//     that inverted the mean under load.
+// The test compares two back-to-back in-process load runs. The latency delta
+// it asserts (the barrier on the cancellation path waits out the refund's
+// processing) is a few model milliseconds, which CPU contention on a loaded
+// host could swamp on the wall clock, so both runs execute in simulation:
+// every sleep, RPC hop, queue delivery, timer and barrier wait advances
+// virtual time, and the medians compared are exact model latencies.
+//
+// The load keeps requests from overlapping in model time. The simulator runs
+// a blocked caller's wait by pumping events on its own stack, so two
+// overlapping blocking requests resume last-in first-out and the outer one's
+// latency absorbs the inner one's; below one request per service time every
+// request runs alone and its latency is exact.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/train_ticket/train_ticket.h"
 #include "src/common/clock.h"
+#include "src/common/sim.h"
 
 namespace antipode {
 namespace {
@@ -27,12 +31,20 @@ class TrainTicketLatencyTest : public ::testing::Test {
 
 TEST_F(TrainTicketLatencyTest, TrainTicketAntipodeEliminatesViolationsAtLatencyCost) {
   TrainTicketConfig config;
-  config.load_rps = 100;
-  config.duration_model_seconds = 1.5;
+  config.load_rps = 10;
+  config.duration_model_seconds = 3.0;
   config.antipode = false;
-  TrainTicketResult baseline = RunTrainTicket(config);
+  TrainTicketResult baseline;
+  {
+    ScopedSimMode sim(config.seed);
+    baseline = RunTrainTicket(config);
+  }
   config.antipode = true;
-  TrainTicketResult antipode = RunTrainTicket(config);
+  TrainTicketResult antipode;
+  {
+    ScopedSimMode sim(config.seed);
+    antipode = RunTrainTicket(config);
+  }
 
   EXPECT_GT(baseline.requests, 0u);
   EXPECT_EQ(antipode.violations, 0u);

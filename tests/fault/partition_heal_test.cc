@@ -82,7 +82,6 @@ uint64_t RunWindowEpisode(uint64_t seed) {
   options.replication.median_millis = 5.0;
   options.replication.sigma = 0.05;
   options.replication.seed = seed;
-  options.visibility_cache = nullptr;
   options.fault_injector = &injector;
   KvStore store(std::move(options), &topology, &timers);
   Recorder recorder;
@@ -211,7 +210,6 @@ uint64_t RunReplayOrderEpisode(uint64_t seed) {
   options.replication.median_millis = 5.0;
   options.replication.sigma = 0.05;
   options.replication.seed = seed;
-  options.visibility_cache = nullptr;
   options.fault_injector = &injector;
   KvStore store(std::move(options), &topology, &timers);
   Recorder recorder;
