@@ -2,7 +2,7 @@
 // table formatting, and JSON report emission. Every binary accepts:
 //   --scale=<f>      time scale (default 0.02: 50x compression)
 //   --requests=<n>   requests per cell (default varies per experiment)
-//   --duration=<s>   model seconds per load point (load-sweep benches)
+//   --duration=<s>   real seconds per open-loop window (load_sweep, trace_mesh)
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -46,6 +46,17 @@ class BenchArgs {
       }
     }
     return fallback;
+  }
+
+  // True when the bare flag `--<name>` is present.
+  bool HasFlag(const char* name) const {
+    const std::string flag = std::string("--") + name;
+    for (int i = 1; i < argc_; ++i) {
+      if (flag == argv_[i]) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // Applies --scale and announces the configuration.

@@ -22,11 +22,9 @@
 // A second phase measures the all-deps-already-visible case — the steady
 // state when replication lag ≪ inter-request gap. Every write has long
 // replicated, so the barrier does no model-time waiting and the measurement
-// is pure wall-clock overhead: with the record probe every dependency is
-// answered by a striped-shard lookup and the barrier returns with zero
-// registry/timer/pool traffic (`barrier.zero_wait`); without it (the PR 1
-// parallel path) every dependency still costs a gather slot, a registry
-// lookup under the shard lock, and a synchronous waiter-side completion.
+// is pure wall-clock overhead: the record probe answers every dependency
+// with a striped-shard lookup and the barrier returns with zero
+// registry/timer/pool traffic (`barrier.zero_wait`, asserted).
 //
 // A third phase measures thundering-herd wakeups: waiters parked on cold
 // keys while a writer hammers hot keys. With the per-key waiter registry an
@@ -35,10 +33,8 @@
 // resident waiter per apply (notify_all_wakeups/applies).
 //
 // Flags: --requests=<n> (default 200), --scale=<f> (default 0.02),
-//        --cache={on,off,both} (default both: the all-visible phase prints
-//        the cached-vs-uncached comparison; on/off also gates the cache in
-//        the eager/deferred phase), --json-out=<path> (machine-readable
-//        report of every phase).
+//        --visible-barriers=<n>, --writes=<n>, --json-out=<path>
+//        (machine-readable report of every phase).
 
 #include <chrono>
 #include <cstdio>
@@ -76,9 +72,9 @@ struct Bed {
   }
 };
 
-double RunEager(int requests, Histogram* hist, bool use_cache) {
+double RunEager(int requests, Histogram* hist) {
   Bed bed("eager");
-  const BarrierOptions options{.registry = &bed.registry, .use_cache = use_cache};
+  const BarrierOptions options{.registry = &bed.registry};
   for (int r = 0; r < requests; ++r) {
     const TimePoint start = SystemClock::Instance().Now();
     Lineage lineage(static_cast<uint64_t>(r) + 1);
@@ -108,11 +104,10 @@ struct DeferredResult {
   double metadata_bytes_per_req = 0.0;
 };
 
-DeferredResult RunDeferred(int requests, Histogram* hist, bool use_cache,
-                           EnforcementBackendKind backend, const char* tag) {
+DeferredResult RunDeferred(int requests, Histogram* hist, EnforcementBackendKind backend,
+                           const char* tag) {
   Bed bed(tag);
-  const BarrierOptions options{
-      .registry = &bed.registry, .use_cache = use_cache, .backend = backend};
+  const BarrierOptions options{.registry = &bed.registry, .backend = backend};
   uint64_t metadata_total = 0;
   for (int r = 0; r < requests; ++r) {
     const TimePoint start = SystemClock::Instance().Now();
@@ -140,36 +135,11 @@ DeferredResult RunDeferred(int requests, Histogram* hist, bool use_cache,
   return result;
 }
 
-// Forwards to a wrapped shim but hides its WaitManyAsync override and its
-// visibility() state, reproducing the PR 1 barrier path exactly: one
-// WaitAsync per dependency through the default fan-out adapter, no cache.
-class PerDepShim : public Shim {
- public:
-  explicit PerDepShim(Shim* inner) : inner_(inner) {}
-  const std::string& store_name() const override { return inner_->store_name(); }
-  Status Wait(Region region, const WriteId& id, Duration timeout) override {
-    return inner_->Wait(region, id, timeout);
-  }
-  void WaitAsync(Region region, const WriteId& id, TimePoint deadline,
-                 WaitCallback done) override {
-    inner_->WaitAsync(region, id, deadline, std::move(done));
-  }
-  bool IsVisible(Region region, const WriteId& id) override {
-    return inner_->IsVisible(region, id);
-  }
-
- private:
-  Shim* inner_;
-};
-
 // All-deps-already-visible: writes have long replicated, so the barrier does
 // no model-time waiting and the cost is pure wall-clock overhead. Measured in
 // real microseconds (steady clock), not model time. Returns the p50 in µs.
-// `mode`: 0 = cache on (batched misses), 1 = cache off (batched waits),
-// 2 = PR 1 baseline (cache off, per-dependency WaitAsync fan-out).
-double RunAllVisible(int barriers, int mode, Histogram* hist) {
-  const bool use_cache = mode == 0;
-  Bed bed(mode == 0 ? "vis-on" : mode == 1 ? "vis-off" : "vis-pr1");
+double RunAllVisible(int barriers, Histogram* hist) {
+  Bed bed("vis");
   // 8 keys per store → 24 dependencies per barrier, all at the same region.
   Lineage lineage(1);
   for (int i = 0; i < kStores; ++i) {
@@ -181,28 +151,18 @@ double RunAllVisible(int barriers, int mode, Histogram* hist) {
   for (auto& store : bed.stores) {
     store->DrainReplication();  // every dependency visible at every region
   }
-  // PR 1 baseline: replace each registered shim with a wrapper that exposes
-  // only the per-dependency WaitAsync surface (no batching, no cache).
-  std::vector<std::unique_ptr<PerDepShim>> wrappers;
-  if (mode == 2) {
-    for (auto& shim : bed.shims) {
-      wrappers.push_back(std::make_unique<PerDepShim>(shim.get()));
-      bed.registry.Register(wrappers.back().get());
-    }
-  }
-  const BarrierOptions options{.registry = &bed.registry, .use_cache = use_cache};
-  // Warm-up: first barrier takes the sync-completion path and (with the cache
-  // on) everything after it is served from the apply-populated cache.
+  const BarrierOptions options{.registry = &bed.registry};
+  // Warm-up: the first barrier probes every dependency visible and sets the
+  // lineage's enforcement memo, so everything after it is memo-served.
   if (!Barrier(lineage, Region::kEu, options).ok()) {
     std::fprintf(stderr, "all-visible warm-up barrier failed\n");
     std::exit(1);
   }
   Counter* zero_wait = MetricsRegistry::Default().GetCounter("barrier.zero_wait");
   const uint64_t zero_wait_before = zero_wait->value();
-  WakeupStats wakeups_before;
+  uint64_t waiters_before = 0;
   for (auto& store : bed.stores) {
-    const WakeupStats w = store->TotalWakeups();
-    wakeups_before.waiters_notified += w.waiters_notified;
+    waiters_before += store->TotalWakeups().waiters_notified;
   }
   for (int r = 0; r < barriers; ++r) {
     const auto start = std::chrono::steady_clock::now();
@@ -220,15 +180,12 @@ double RunAllVisible(int barriers, int mode, Histogram* hist) {
   for (auto& store : bed.stores) {
     waiters_notified += store->TotalWakeups().waiters_notified;
   }
-  waiters_notified -= wakeups_before.waiters_notified;
-  const char* label = mode == 0   ? "all-visible cache=on"
-                      : mode == 1 ? "all-visible cache=off"
-                                  : "all-visible PR1 per-dep";
-  std::printf("%-24s %10.1f %10.1f %10.1f   zero_wait %llu/%d, waiters woken %llu\n", label,
-              hist->Percentile(0.5), hist->Percentile(0.99), hist->Mean(),
+  waiters_notified -= waiters_before;
+  std::printf("%-24s %10.1f %10.1f %10.1f   zero_wait %llu/%d, waiters woken %llu\n",
+              "all-visible", hist->Percentile(0.5), hist->Percentile(0.99), hist->Mean(),
               static_cast<unsigned long long>(zero_wait_delta), barriers,
               static_cast<unsigned long long>(waiters_notified));
-  if (use_cache && zero_wait_delta != static_cast<uint64_t>(barriers)) {
+  if (zero_wait_delta != static_cast<uint64_t>(barriers)) {
     std::fprintf(stderr, "FAIL: expected barrier.zero_wait == barrier count (%d), got %llu\n",
                  barriers, static_cast<unsigned long long>(zero_wait_delta));
     std::exit(1);
@@ -300,18 +257,14 @@ int Main(int argc, char** argv) {
               kMedians[0], kMedians[1], kMedians[2]);
   std::printf("# per-request: 3 writes (one per store) + cross-region enforcement\n\n");
 
-  const std::string cache_flag = args.GetString("cache", "both");
-  const bool cache_in_main_phase = cache_flag != "off";
-
   Histogram eager;
   Histogram deferred;
   Histogram deferred_frontier;
-  RunEager(requests, &eager, cache_in_main_phase);
-  const DeferredResult defer_lineage = RunDeferred(
-      requests, &deferred, cache_in_main_phase, EnforcementBackendKind::kLineage, "defer");
+  RunEager(requests, &eager);
+  const DeferredResult defer_lineage =
+      RunDeferred(requests, &deferred, EnforcementBackendKind::kLineage, "defer");
   const DeferredResult defer_frontier =
-      RunDeferred(requests, &deferred_frontier, cache_in_main_phase,
-                  EnforcementBackendKind::kStableFrontier, "defsf");
+      RunDeferred(requests, &deferred_frontier, EnforcementBackendKind::kStableFrontier, "defsf");
   const double max_lag_p50 = defer_lineage.max_store_lag_p50;
   const double sum_medians = kMedians[0] + kMedians[1] + kMedians[2];
 
@@ -341,25 +294,8 @@ int Main(int argc, char** argv) {
   std::printf("\n# all-deps-already-visible (24 deps/barrier, wall-clock µs, %d barriers)\n",
               visible_barriers);
   std::printf("%-24s %10s %10s %10s\n", "scenario", "p50 us", "p99 us", "mean us");
-  double cached_p50 = 0.0;
-  double uncached_p50 = 0.0;
-  double pr1_p50 = 0.0;
-  if (cache_flag == "on" || cache_flag == "both") {
-    Histogram hist;
-    cached_p50 = RunAllVisible(visible_barriers, /*mode=*/0, &hist);
-  }
-  if (cache_flag == "off" || cache_flag == "both") {
-    Histogram hist;
-    uncached_p50 = RunAllVisible(visible_barriers, /*mode=*/1, &hist);
-  }
-  if (cache_flag == "both") {
-    Histogram hist;
-    pr1_p50 = RunAllVisible(visible_barriers, /*mode=*/2, &hist);
-  }
-  if (cache_flag == "both" && cached_p50 > 0.0) {
-    std::printf("# batched-uncached/cached p50 ratio: %.1fx\n", uncached_p50 / cached_p50);
-    std::printf("# PR1-per-dep/cached p50 ratio: %.1fx\n", pr1_p50 / cached_p50);
-  }
+  Histogram visible;
+  const double visible_p50 = RunAllVisible(visible_barriers, &visible);
 
   const WakeupReport wakeups = RunWakeups(args.GetInt("writes", 400));
 
@@ -378,11 +314,7 @@ int Main(int argc, char** argv) {
         .Field("lineage", defer_lineage.metadata_bytes_per_req)
         .Field("stable_frontier", defer_frontier.metadata_bytes_per_req)
         .EndObject()
-        .BeginObject("all_visible_p50_us")
-        .Field("cache_on", cached_p50)
-        .Field("cache_off", uncached_p50)
-        .Field("pr1_per_dep", pr1_p50)
-        .EndObject()
+        .Field("all_visible_p50_us", visible_p50)
         .BeginObject("wakeups")
         .Field("applies", wakeups.applies)
         .Field("per_apply_new", wakeups.per_apply_new)

@@ -1,15 +1,13 @@
 // Live trace-mesh macrobenchmark: materializes sampled Alibaba-calibrated
 // call graphs (src/trace) as a running topology — hundreds of layered
 // stateless RPC services plus stateful bindings on shared replicated stores —
-// and drives it open-loop through the load_sweep rate ladder. Every request
-// executes a real admitted plan: lineage flows through RequestContext baggage
-// across every RPC hop, each stateful call is a shimmed store write, and a
-// terminal read in a remote region is guarded by a barrier (lineage and
-// stable-frontier backends, scoped and unscoped). This is the deep-graph
-// regime (≥20 stateful calls, depth ≥5) the five hand-written apps never
-// reach — the workload that exposed the small-vector lineage storage,
-// interned-store wire format, native baggage slot, and route-cached RPC
-// dispatch this PR adds.
+// and drives it open-loop at one fixed rate per phase (bench/open_loop.h).
+// Every request executes a real admitted plan: lineage flows through
+// RequestContext baggage across every RPC hop, each stateful call is a
+// shimmed store write, and a terminal read in a remote region is guarded by
+// a barrier (lineage and stable-frontier backends, scoped and unscoped).
+// This is the deep-graph regime (≥20 stateful calls, depth ≥5) the five
+// hand-written apps never reach.
 //
 // Alongside the mesh phases, a lineage-carry micro-phase measures the per-hop
 // context cost (deserialize → append → re-serialize) at 20/40/60
@@ -20,28 +18,25 @@
 // mesh_lineage_unscoped (deployment-wide BarrierGlobal with a region outside
 // every store's replica set: scoped skips those pairs, unscoped arms vacuous
 // waits), mesh_frontier. Antipode phases must complete with 0 violations —
-// validate_bench_json enforces that on the emitted artifact.
+// the exit code is nonzero otherwise, and validate_bench_json checks the
+// emitted artifact too.
 //
 // Emits BENCH_trace_mesh.json (schema: DESIGN.md §14) at --json-out.
 //
-// Flags: --scale, --duration=<real s per point>, --start-rate, --rate-factor,
-//        --max-steps, --writers, --quick (tiny CI run), --json-out=<path>.
+// Flags: --scale, --duration=<real s per phase>, --writers,
+//        --quick (tiny CI run), --json-out=<path>.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/alloc_hook.h"
 #include "bench/bench_util.h"
+#include "bench/open_loop.h"
 #include "src/antipode/antipode.h"
-#include "src/antipode/enforcement.h"
 #include "src/common/histogram.h"
 #include "src/common/thread_pool.h"
 #include "src/context/request_context.h"
@@ -51,40 +46,7 @@
 namespace antipode {
 namespace {
 
-constexpr double kMinDrainTailSlackS = 0.2;
-
 std::atomic<uint64_t> g_mesh_counter{0};
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-
-struct MeshSweepConfig {
-  double duration_s = 1.0;
-  double drain_cap_s = 12.0;
-  double start_rate = 24.0;  // deep requests are ~two orders heavier than app ones
-  double rate_factor = 2.0;
-  int max_steps = 5;
-  int writers = 8;
-  int readers = 8;
-  int carry_iters = 4000;
-};
-
-struct RatePoint {
-  double offered_req_s = 0.0;
-  double achieved_req_s = 0.0;
-  uint64_t issued = 0;
-  uint64_t completed = 0;
-  uint64_t violations = 0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  double metadata_bytes_per_req = 0.0;
-  double allocs_per_req = 0.0;
-  bool saturated = false;
-};
 
 struct MeshPhaseSpec {
   const char* name;
@@ -100,29 +62,21 @@ struct PhaseResult {
   bool antipode = false;
   bool use_scope = true;
   uint64_t scoped_skips = 0;
-  uint64_t violations = 0;
-  std::vector<RatePoint> points;
-
-  const RatePoint& Peak() const {
-    const RatePoint* best = &points.front();
-    for (const RatePoint& p : points) {
-      const bool better = p.achieved_req_s > best->achieved_req_s;
-      if ((!p.saturated && best->saturated) || (p.saturated == best->saturated && better)) {
-        best = &p;
-      }
-    }
-    return *best;
-  }
+  WindowResult window;
+  // Allocations from generation through full drain, per completed request:
+  // everything a request costs — hops, lineage carry, store writes,
+  // replication, barrier.
+  double allocs_per_req = 0.0;
 };
 
 // Open-loop bed around one LiveMesh: writers execute plans, a reader pool
 // runs the guarded terminal read and completes the request.
-class MeshBed {
+class MeshBed : public OpenLoopBed {
  public:
   MeshBed(const MeshTopology* topology, LiveMeshOptions options, ThreadPool* readers)
       : mesh_(topology, std::move(options)), readers_(readers) {}
 
-  void Issue(uint64_t request_index, uint64_t send_ns) {
+  void Issue(uint64_t request_index, uint64_t send_ns) override {
     LiveMesh::WriterResult writer = mesh_.RunWriterSide(request_index);
     const bool submitted =
         readers_->Submit([this, writer = std::move(writer), request_index, send_ns]() mutable {
@@ -133,170 +87,47 @@ class MeshBed {
     }
   }
 
-  void Drain() { mesh_.DrainReplication(); }
-
-  uint64_t completed() const { return completed_.load(std::memory_order_relaxed); }
-  uint64_t violations() const { return violations_.load(std::memory_order_relaxed); }
-  uint64_t metadata_bytes() const { return metadata_bytes_.load(std::memory_order_relaxed); }
-  const ConcurrentHistogram& latency() const { return latency_; }
-
-  bool AwaitCompletions(uint64_t issued, std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(done_mu_);
-    return done_cv_.wait_until(lock, deadline, [&] {
-      return completed_.load(std::memory_order_relaxed) >= issued;
-    });
-  }
+  void Drain() override { mesh_.DrainReplication(); }
 
  private:
   void Complete(const LiveMesh::WriterResult& writer, uint64_t request_index, uint64_t send_ns) {
     const bool found = mesh_.RunReaderSide(writer, request_index);
     if (mesh_.options().antipode) {
-      metadata_bytes_.fetch_add(
-          EnforcementMetadataBytes(mesh_.options().backend, writer.lineage),
-          std::memory_order_relaxed);
+      RecordMetadata(mesh_.options().backend, writer.lineage);
     }
-    latency_.Record(static_cast<double>(NowNanos() - send_ns) / 1e6);
-    if (!found) {
-      violations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(done_mu_);
-    done_cv_.notify_all();
+    RecordCompletion(send_ns, found);
   }
 
   LiveMesh mesh_;
   ThreadPool* readers_;
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> violations_{0};
-  std::atomic<uint64_t> metadata_bytes_{0};
-  ConcurrentHistogram latency_;
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
 };
 
-RatePoint RunLoadPoint(MeshBed& bed, double rate, const MeshSweepConfig& config) {
-  ThreadPool writers(static_cast<size_t>(config.writers), "mesh-writers");
-
-  const uint64_t allocs_before = benchhook::AllocationCount();
-  const auto start = std::chrono::steady_clock::now();
-  const auto gen_end = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                   std::chrono::duration<double>(config.duration_s));
-  const auto interval = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(1.0 / rate));
-
-  uint64_t issued = 0;
-  auto next_arrival = start;
-  while (next_arrival < gen_end) {
-    std::this_thread::sleep_until(next_arrival);
-    const auto now = std::chrono::steady_clock::now();
-    while (next_arrival <= now && next_arrival < gen_end) {
-      const uint64_t index = issued++;
-      const uint64_t send_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(next_arrival.time_since_epoch())
-              .count());
-      writers.Submit([&bed, index, send_ns] {
-        RequestContext context;
-        ScopedContext scoped(std::move(context));
-        bed.Issue(index, send_ns);
-      });
-      next_arrival += interval;
-    }
-  }
-
-  const auto drain_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config.drain_cap_s));
-  const bool drained = bed.AwaitCompletions(issued, drain_deadline);
-
-  RatePoint point;
-  point.offered_req_s = rate;
-  point.issued = issued;
-  point.completed = bed.completed();
-  const double elapsed_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(std::chrono::steady_clock::now() -
-                                                                start)
-          .count();
-  const double drain_tail_s = elapsed_s - config.duration_s;
-  point.saturated =
-      !drained || drain_tail_s > std::max(0.5 * config.duration_s, kMinDrainTailSlackS);
-  point.achieved_req_s = point.saturated
-                             ? (elapsed_s > 0 ? static_cast<double>(point.completed) / elapsed_s
-                                              : 0.0)
-                             : static_cast<double>(point.completed) / config.duration_s;
-  const Histogram latency = bed.latency().Snapshot();
-  point.p50_ms = latency.Percentile(0.50);
-  point.p99_ms = latency.Percentile(0.99);
-  point.p999_ms = latency.Percentile(0.999);
-  point.violations = bed.violations();
-  point.metadata_bytes_per_req =
-      point.completed == 0
-          ? 0.0
-          : static_cast<double>(bed.metadata_bytes()) / static_cast<double>(point.completed);
-
-  writers.Shutdown();
-  if (!drained) {
-    bed.AwaitCompletions(issued, std::chrono::steady_clock::now() + std::chrono::hours(1));
-  }
-  bed.Drain();
-  // Allocation accounting covers generation through full drain: everything a
-  // request costs — hops, lineage carry, store writes, replication, barrier.
-  point.allocs_per_req =
-      bed.completed() == 0
-          ? 0.0
-          : static_cast<double>(benchhook::AllocationCount() - allocs_before) /
-                static_cast<double>(bed.completed());
-  return point;
-}
-
 PhaseResult RunPhase(const MeshTopology& topology, const MeshPhaseSpec& spec,
-                     const MeshSweepConfig& config) {
+                     const WindowConfig& config) {
   PhaseResult result;
   result.name = spec.name;
   result.antipode = spec.antipode;
   result.use_scope = spec.use_scope;
   result.backend = spec.antipode ? std::string(EnforcementBackendKindName(spec.backend)) : "none";
 
-  std::printf("\n== phase %s ==\n", spec.name);
-  std::printf("%12s %12s %8s %8s %10s %10s %6s %12s %6s\n", "offered/s", "achieved/s", "issued",
-              "done", "p50 ms", "p99 ms", "viol", "allocs/req", "sat");
-
-  double rate = config.start_rate;
-  for (int step = 0; step < config.max_steps; ++step) {
-    ThreadPool readers(static_cast<size_t>(config.readers), "mesh-readers");
-    LiveMeshOptions options;
-    options.antipode = spec.antipode;
-    options.backend = spec.backend;
-    options.use_scope = spec.use_scope;
-    options.barrier_regions = spec.barrier_regions;
-    options.tag = std::to_string(g_mesh_counter.fetch_add(1));
-    auto bed = std::make_unique<MeshBed>(&topology, std::move(options), &readers);
-    RatePoint point = RunLoadPoint(*bed, rate, config);
-    bed.reset();
-    readers.Shutdown();
-
-    std::printf("%12.1f %12.1f %8llu %8llu %10.2f %10.2f %6llu %12.0f %6s\n",
-                point.offered_req_s, point.achieved_req_s,
-                static_cast<unsigned long long>(point.issued),
-                static_cast<unsigned long long>(point.completed), point.p50_ms, point.p99_ms,
-                static_cast<unsigned long long>(point.violations), point.allocs_per_req,
-                point.saturated ? "yes" : "no");
-    const bool stop = point.saturated;
-    result.violations += point.violations;
-    result.points.push_back(std::move(point));
-    if (stop) {
-      break;
-    }
-    rate *= config.rate_factor;
-  }
+  ThreadPool readers(static_cast<size_t>(config.writers), "mesh-readers");
+  LiveMeshOptions options;
+  options.antipode = spec.antipode;
+  options.backend = spec.backend;
+  options.use_scope = spec.use_scope;
+  options.barrier_regions = spec.barrier_regions;
+  options.tag = std::to_string(g_mesh_counter.fetch_add(1));
+  auto bed = std::make_unique<MeshBed>(&topology, std::move(options), &readers);
+  const uint64_t allocs_before = benchhook::AllocationCount();
+  result.window = RunWindow(*bed, config);
+  result.allocs_per_req =
+      bed->completed() == 0
+          ? 0.0
+          : static_cast<double>(benchhook::AllocationCount() - allocs_before) /
+                static_cast<double>(bed->completed());
+  bed.reset();
+  readers.Shutdown();
   result.scoped_skips = MetricsRegistry::Default().GetCounter("barrier.scoped_skip")->value();
-
-  const RatePoint& peak = result.Peak();
-  std::printf("# peak sustained: %.1f req/s (p50 %.2f ms, p99 %.2f ms, violations %llu, "
-              "allocs/req %.0f, scoped skips %llu)\n",
-              peak.achieved_req_s, peak.p50_ms, peak.p99_ms,
-              static_cast<unsigned long long>(result.violations), peak.allocs_per_req,
-              static_cast<unsigned long long>(result.scoped_skips));
   return result;
 }
 
@@ -353,7 +184,7 @@ CarryPoint RunCarryPoint(int deps, int iters) {
       ids[k].key = "hop/k" + std::to_string(((i + warmup) * kCarryAppendsPerHop + k) & 7);
       ids[k].version = static_cast<uint64_t>((i + warmup) * kCarryAppendsPerHop + k + 1);
     }
-    const uint64_t t0 = NowNanos();
+    const uint64_t t0 = SteadyNowNanos();
     {
       ScopedContext scoped(RequestContext::Deserialize(blob));
       for (WriteId& id : ids) {
@@ -361,7 +192,7 @@ CarryPoint RunCarryPoint(int deps, int iters) {
       }
       sink += RequestContext::SerializeCurrent().size();
     }
-    const uint64_t t1 = NowNanos();
+    const uint64_t t1 = SteadyNowNanos();
     if (i >= 0) {
       latency.Record(static_cast<double>(t1 - t0));
     }
@@ -377,7 +208,7 @@ CarryPoint RunCarryPoint(int deps, int iters) {
 }
 
 void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry,
-              const std::vector<PhaseResult>& phases, const MeshSweepConfig& config, bool quick,
+              const std::vector<PhaseResult>& phases, const WindowConfig& config, bool quick,
               const std::string& path) {
   JsonReport json;
   json.BeginObject();
@@ -415,37 +246,15 @@ void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry
 
   json.BeginArray("phases");
   for (const PhaseResult& phase : phases) {
-    const RatePoint& peak = phase.Peak();
     json.BeginObject();
     json.Field("name", phase.name);
     json.Field("backend", phase.backend);
     json.Field("antipode", phase.antipode);
     json.Field("use_scope", phase.use_scope);
-    json.Field("scoped_skips", static_cast<double>(phase.scoped_skips));
-    json.Field("violations", static_cast<double>(phase.violations));
-    json.Field("peak_req_s", peak.achieved_req_s);
-    json.Field("p50_ms", peak.p50_ms);
-    json.Field("p99_ms", peak.p99_ms);
-    json.Field("p999_ms", peak.p999_ms);
-    json.Field("metadata_bytes_per_req", peak.metadata_bytes_per_req);
-    json.Field("allocs_per_req", peak.allocs_per_req);
-    json.BeginArray("points");
-    for (const RatePoint& point : phase.points) {
-      json.BeginObject();
-      json.Field("offered_req_s", point.offered_req_s);
-      json.Field("achieved_req_s", point.achieved_req_s);
-      json.Field("issued", point.issued);
-      json.Field("completed", point.completed);
-      json.Field("violations", static_cast<double>(point.violations));
-      json.Field("p50_ms", point.p50_ms);
-      json.Field("p99_ms", point.p99_ms);
-      json.Field("p999_ms", point.p999_ms);
-      json.Field("metadata_bytes_per_req", point.metadata_bytes_per_req);
-      json.Field("allocs_per_req", point.allocs_per_req);
-      json.Field("saturated", point.saturated);
-      json.EndObject();
-    }
-    json.EndArray();
+    json.Field("scoped_skips", phase.scoped_skips);
+    json.Field("violations", phase.window.violations);
+    EmitWindow(json, phase.window);
+    json.Field("allocs_per_req", phase.allocs_per_req);
     json.EndObject();
   }
   json.EndArray();
@@ -457,25 +266,17 @@ void EmitJson(const MeshTopology& topology, const std::vector<CarryPoint>& carry
 
 int Main(int argc, char** argv) {
   BenchArgs args(argc, argv);
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") {
-      quick = true;
-    }
-  }
+  const bool quick = args.HasFlag("quick");
   args.SetupTimeScale();
 
-  MeshSweepConfig config;
+  // 100 req/s sits well below the knee (the retired rate ladder sustained
+  // 384 req/s, its ceiling, in every phase).
+  WindowConfig config{.rate = 100.0, .duration_s = 2.0, .drain_cap_s = 12.0, .writers = 8};
+  int carry_iters = 4000;
   MeshOptions mesh_options;
   if (quick) {
-    config.duration_s = 0.25;
-    config.drain_cap_s = 6.0;
-    config.start_rate = 8.0;
-    config.rate_factor = 3.0;
-    config.max_steps = 2;
-    config.writers = 4;
-    config.readers = 4;
-    config.carry_iters = 600;
+    config = WindowConfig{.rate = 24.0, .duration_s = 0.5, .drain_cap_s = 6.0, .writers = 4};
+    carry_iters = 600;
     mesh_options.num_plans = 8;
     mesh_options.min_live_services = 60;
     mesh_options.max_plans = 64;
@@ -483,11 +284,7 @@ int Main(int argc, char** argv) {
     mesh_options.stateful_width = 32;
   }
   config.duration_s = args.GetDouble("duration", config.duration_s);
-  config.start_rate = args.GetDouble("start-rate", config.start_rate);
-  config.rate_factor = args.GetDouble("rate-factor", config.rate_factor);
-  config.max_steps = args.GetInt("max-steps", config.max_steps);
   config.writers = args.GetInt("writers", config.writers);
-  config.readers = config.writers;
   const std::string json_out = args.GetString("json-out", "BENCH_trace_mesh.json");
 
   std::printf("# building mesh topology (seed %llu)...\n",
@@ -515,7 +312,7 @@ int Main(int argc, char** argv) {
   std::printf("%6s %12s %12s %14s\n", "deps", "p50 ns", "p99 ns", "allocs/hop");
   std::vector<CarryPoint> carry;
   for (int deps : {20, 40, 60}) {
-    CarryPoint point = RunCarryPoint(deps, config.carry_iters);
+    CarryPoint point = RunCarryPoint(deps, carry_iters);
     std::printf("%6d %12.0f %12.0f %14.2f\n", point.deps, point.p50_ns, point.p99_ns,
                 point.allocs_per_hop);
     carry.push_back(point);
@@ -532,25 +329,24 @@ int Main(int argc, char** argv) {
       {"mesh_lineage_unscoped", true, EnforcementBackendKind::kLineage, false, kGlobalBarrier},
       {"mesh_frontier", true, EnforcementBackendKind::kStableFrontier, true, kLocalBarrier},
   };
+  std::printf("\n# open-loop: %.0f req/s for %.2fs per phase, %d writers\n", config.rate,
+              config.duration_s, config.writers);
+  std::printf("%-24s %-16s %8s %8s %10s %10s %6s %12s %10s %8s\n", "phase", "backend", "issued",
+              "done", "p50 ms", "p99 ms", "viol", "allocs/req", "md B/req", "skips");
   std::vector<PhaseResult> phases;
+  uint64_t enforced_violations = 0;
   for (const MeshPhaseSpec& spec : specs) {
     MetricsRegistry::Default().SnapshotAndReset();
-    phases.push_back(RunPhase(topology, spec, config));
-  }
-
-  std::printf("\n%-24s %-16s %12s %10s %10s %6s %12s %10s\n", "phase", "backend", "peak req/s",
-              "p50 ms", "p99 ms", "viol", "allocs/req", "md B/req");
-  for (const PhaseResult& phase : phases) {
-    const RatePoint& peak = phase.Peak();
-    std::printf("%-24s %-16s %12.1f %10.2f %10.2f %6llu %12.0f %10.1f\n", phase.name.c_str(),
-                phase.backend.c_str(), peak.achieved_req_s, peak.p50_ms, peak.p99_ms,
-                static_cast<unsigned long long>(phase.violations), peak.allocs_per_req,
-                peak.metadata_bytes_per_req);
-  }
-  uint64_t enforced_violations = 0;
-  for (const PhaseResult& phase : phases) {
+    const PhaseResult& phase = phases.emplace_back(RunPhase(topology, spec, config));
+    const WindowResult& window = phase.window;
+    std::printf("%-24s %-16s %8llu %8llu %10.2f %10.2f %6llu %12.0f %10.1f %8llu\n",
+                phase.name.c_str(), phase.backend.c_str(),
+                static_cast<unsigned long long>(window.issued),
+                static_cast<unsigned long long>(window.completed), window.p50_ms, window.p99_ms,
+                static_cast<unsigned long long>(window.violations), phase.allocs_per_req,
+                window.metadata_bytes_per_req, static_cast<unsigned long long>(phase.scoped_skips));
     if (phase.antipode) {
-      enforced_violations += phase.violations;
+      enforced_violations += window.violations;
     }
   }
   EmitJson(topology, carry, phases, config, quick, json_out);

@@ -1,33 +1,23 @@
 // Schema check for the BENCH_*.json artifacts: parses the document with a
-// minimal recursive-descent JSON reader (no dependencies) and asserts the
-// keys every future PR's delta-comparison relies on. Dispatches on the root
-// "bench" tag:
+// minimal recursive-descent JSON reader (no dependencies) and checks it
+// against the declarative schema registered for its root "bench" tag
+// (kSchemas below). A schema is:
 //
-//   * (absent) / load_sweep — a non-empty `phases` array whose every element
-//     carries peak_req_s, p50/p99/p999, an enforcement `backend` tag, the
-//     strategy's metadata_bytes_per_req, and a scoped_skips count (with at
-//     least one phase actually backend-tagged, and a locality phase pair —
-//     scoped with scoped_skips>0, plus an unscoped baseline).
-//   * trace_mesh — additionally a `graph` shape block proving the deep-graph
-//     regime (min_stateful_calls ≥ 20, min_depth ≥ 5, and ≥200 live services
-//     on non-quick runs), a `carry` array with the legacy-vs-native lineage
-//     carry pair at ≥20 deps, per-phase violations (must be 0 under
-//     enforcement) and allocs_per_req, both enforcement backends present,
-//     and the scoped/unscoped global-barrier pair.
-//   * sim_sweep — the deterministic seed-sweep verdict: seeds_run ≥ 200,
-//     always_violations == 0, unreached_sometimes == 0, a configs array
-//     covering both enforcement backends × scoped/unscoped with episodes in
-//     every cell, a non-empty properties array (name/kind/passes/failures,
-//     every SOMETIMES and REACHABLE with passes > 0, every ALWAYS with
-//     failures == 0), and a replay block with checked ≥ 1, mismatches == 0.
+//   * sections — the root object and each named sub-object or non-empty
+//     array of objects, with the exact set of typed fields every element
+//     carries (a missing, mistyped or unknown field is an error, so a stale
+//     artifact shape cannot pass) and per-element predicates;
+//   * file rules — whole-document predicates, typically "some phase …"
+//     existence checks that keep a claimed comparison in the artifact.
 //
 // Usage: validate_bench_json <path> — exit 0 on a valid report, 1 with a
-// diagnostic otherwise. Wired into bench-smoke right after each bench's
-// --quick run emits its file.
+// diagnostic otherwise. Wired into ctest for each bench's --quick output and
+// for every committed BENCH_*.json.
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -264,272 +254,372 @@ class Parser {
   std::string error_;
 };
 
-// Checks that `value` (phase `index` of the artifact) has every key in
-// `keys` with JSON kind `kind`; returns the number of schema errors.
-int RequireFields(const JsonValue& value, size_t index, const char* const* keys, size_t num_keys,
-                  JsonValue::Kind kind, const char* kind_name) {
+// --- Schema vocabulary -------------------------------------------------------
+
+using Kind = JsonValue::Kind;
+
+struct Field {
+  const char* key;
+  Kind kind;
+};
+
+// A predicate over one element (or over the whole document for file rules).
+// It reads fields through the accessors below, which return 0 / false / ""
+// for a missing or mistyped field; the section's field checks report that
+// field, so a predicate's fallback never hides it.
+struct Rule {
+  const char* what;  // the invariant, printed when it fails
+  bool (*holds)(const JsonValue& value, bool quick);
+};
+
+struct Section {
+  const char* key;  // nullptr: the root object itself
+  bool array;       // a non-empty array of objects, or one object
+  std::vector<Field> fields;
+  std::vector<Rule> each;
+};
+
+struct Schema {
+  const char* bench;
+  std::vector<Section> sections;
+  std::vector<Rule> file;
+};
+
+double Num(const JsonValue& value, const char* key) {
+  const JsonValue* field = value.Find(key);
+  return field != nullptr && field->kind == Kind::kNumber ? field->number : 0.0;
+}
+
+bool Bool(const JsonValue& value, const char* key) {
+  const JsonValue* field = value.Find(key);
+  return field != nullptr && field->kind == Kind::kBool && field->boolean;
+}
+
+std::string_view Str(const JsonValue& value, const char* key) {
+  const JsonValue* field = value.Find(key);
+  return field != nullptr && field->kind == Kind::kString ? std::string_view(field->string)
+                                                          : std::string_view();
+}
+
+bool OneOf(std::string_view value, std::initializer_list<std::string_view> allowed) {
+  for (std::string_view candidate : allowed) {
+    if (value == candidate) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// True when some element of root[key] satisfies `pred`.
+template <typename Pred>
+bool Any(const JsonValue& root, const char* key, Pred pred) {
+  const JsonValue* array = root.Find(key);
+  if (array == nullptr || array->kind != Kind::kArray) {
+    return false;
+  }
+  for (const JsonValue& element : array->array) {
+    if (pred(element)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+constexpr Kind kNum = Kind::kNumber;
+constexpr Kind kStr = Kind::kString;
+constexpr Kind kBool = Kind::kBool;
+
+// --- The schemas ---------------------------------------------------------------
+
+// bench/load_sweep (DESIGN.md §11).
+const Schema kLoadSweep{
+    "load_sweep",
+    {
+        {nullptr,
+         false,
+         {{"bench", kStr}, {"quick", kBool}, {"duration_s", kNum}, {"phases", Kind::kArray}},
+         {}},
+        {"phases",
+         true,
+         {{"name", kStr}, {"app", kStr}, {"antipode", kBool}, {"locality", kBool},
+          {"use_scope", kBool}, {"scoped_skips", kNum}, {"backend", kStr},
+          {"offered_req_s", kNum}, {"issued", kNum}, {"completed", kNum}, {"p50_ms", kNum},
+          {"p99_ms", kNum}, {"p999_ms", kNum}, {"violation_rate", kNum},
+          {"metadata_bytes_per_req", kNum}},
+         {
+             {"name is a phase load_sweep emits",
+              [](const JsonValue& p, bool) {
+                return OneOf(Str(p, "name"),
+                             {"post_baseline", "post_antipode", "post_antipode_frontier",
+                              "media_baseline", "media_antipode", "media_antipode_frontier",
+                              "post_local3_scoped", "post_local3_unscoped"});
+              }},
+             {"every issued request completed within the drain cap",
+              [](const JsonValue& p, bool) {
+                return Num(p, "issued") > 0 && Num(p, "completed") == Num(p, "issued");
+              }},
+             {"an Antipode phase has violation_rate 0",
+              [](const JsonValue& p, bool) {
+                return !Bool(p, "antipode") || Num(p, "violation_rate") == 0.0;
+              }},
+             {"a baseline phase shows violations (violation_rate > 0)",
+              [](const JsonValue& p, bool) {
+                return Bool(p, "antipode") || Num(p, "violation_rate") > 0.0;
+              }},
+             {"a scoped locality phase has scoped_skips > 0",
+              [](const JsonValue& p, bool) {
+                return !Bool(p, "locality") || !Bool(p, "use_scope") ||
+                       Num(p, "scoped_skips") > 0;
+              }},
+         }},
+    },
+    {
+        {"some phase names an enforcement backend",
+         [](const JsonValue& root, bool) {
+           return Any(root, "phases",
+                      [](const JsonValue& p) { return Str(p, "backend") != "none"; });
+         }},
+        {"the locality pair: a scoped phase with scoped_skips > 0 and an unscoped one",
+         [](const JsonValue& root, bool) {
+           return Any(root, "phases",
+                      [](const JsonValue& p) {
+                        return Bool(p, "locality") && Bool(p, "use_scope") &&
+                               Num(p, "scoped_skips") > 0;
+                      }) &&
+                  Any(root, "phases", [](const JsonValue& p) {
+                    return Bool(p, "locality") && !Bool(p, "use_scope");
+                  });
+         }},
+    },
+};
+
+// bench/trace_mesh (DESIGN.md §14).
+const Schema kTraceMesh{
+    "trace_mesh",
+    {
+        {nullptr,
+         false,
+         {{"bench", kStr}, {"quick", kBool}, {"duration_s", kNum}, {"graph", Kind::kObject},
+          {"carry", Kind::kArray}, {"phases", Kind::kArray}},
+         {}},
+        {"graph",
+         false,
+         {{"live_services", kNum}, {"stateless_services", kNum}, {"stateful_bindings", kNum},
+          {"stores", kNum}, {"plans", kNum}, {"graphs_sampled", kNum},
+          {"min_stateful_calls", kNum}, {"max_stateful_calls", kNum},
+          {"mean_stateful_calls", kNum}, {"min_depth", kNum}, {"max_depth", kNum},
+          {"mean_depth", kNum}, {"mean_total_calls", kNum}},
+         {
+             {"graph.min_stateful_calls >= 20 (the deep-graph regime)",
+              [](const JsonValue& g, bool) { return Num(g, "min_stateful_calls") >= 20; }},
+             {"graph.min_depth >= 5",
+              [](const JsonValue& g, bool) { return Num(g, "min_depth") >= 5; }},
+             {"graph.live_services >= 200 on a full run",
+              [](const JsonValue& g, bool quick) {
+                return quick || Num(g, "live_services") >= 200;
+              }},
+         }},
+        {"carry",
+         true,
+         {{"deps", kNum}, {"p50_ns", kNum}, {"p99_ns", kNum}, {"allocs_per_hop", kNum}},
+         {}},
+        {"phases",
+         true,
+         {{"name", kStr}, {"backend", kStr}, {"antipode", kBool}, {"use_scope", kBool},
+          {"scoped_skips", kNum}, {"violations", kNum}, {"offered_req_s", kNum}, {"issued", kNum},
+          {"completed", kNum}, {"p50_ms", kNum}, {"p99_ms", kNum}, {"p999_ms", kNum},
+          {"metadata_bytes_per_req", kNum}, {"allocs_per_req", kNum}},
+         {
+             {"name is a phase trace_mesh emits",
+              [](const JsonValue& p, bool) {
+                return OneOf(Str(p, "name"),
+                             {"mesh_baseline", "mesh_lineage", "mesh_lineage_scoped",
+                              "mesh_lineage_unscoped", "mesh_frontier"});
+              }},
+             {"every issued request completed within the drain cap",
+              [](const JsonValue& p, bool) {
+                return Num(p, "issued") > 0 && Num(p, "completed") == Num(p, "issued");
+              }},
+             {"an Antipode phase has 0 XCY violations",
+              [](const JsonValue& p, bool) {
+                return !Bool(p, "antipode") || Num(p, "violations") == 0.0;
+              }},
+             {"a baseline phase shows violations (violations > 0)",
+              [](const JsonValue& p, bool) {
+                return Bool(p, "antipode") || Num(p, "violations") > 0.0;
+              }},
+         }},
+    },
+    {
+        {"the carry micro has a point at >= 20 deps",
+         [](const JsonValue& root, bool) {
+           return Any(root, "carry", [](const JsonValue& c) { return Num(c, "deps") >= 20; });
+         }},
+        {"phases under both enforcement backends (lineage + stable_frontier)",
+         [](const JsonValue& root, bool) {
+           return Any(root, "phases",
+                      [](const JsonValue& p) { return Str(p, "backend") == "lineage"; }) &&
+                  Any(root, "phases",
+                      [](const JsonValue& p) { return Str(p, "backend") == "stable_frontier"; });
+         }},
+        {"the scoped/unscoped pair: a scoped Antipode phase with scoped_skips > 0 and an "
+         "unscoped one",
+         [](const JsonValue& root, bool) {
+           return Any(root, "phases",
+                      [](const JsonValue& p) {
+                        return Bool(p, "antipode") && Bool(p, "use_scope") &&
+                               Num(p, "scoped_skips") > 0;
+                      }) &&
+                  Any(root, "phases", [](const JsonValue& p) {
+                    return Bool(p, "antipode") && !Bool(p, "use_scope");
+                  });
+         }},
+    },
+};
+
+// bench/sim_sweep (DESIGN.md §15).
+const Schema kSimSweep{
+    "sim_sweep",
+    {
+        {nullptr,
+         false,
+         {{"bench", kStr}, {"quick", kBool}, {"seeds_run", kNum}, {"events", kNum},
+          {"checked_reads", kNum}, {"barrier_deadline_misses", kNum}, {"always_violations", kNum},
+          {"unreached_sometimes", kNum}, {"failing_seeds", kNum}, {"configs", Kind::kArray},
+          {"replay", Kind::kObject}, {"properties", Kind::kArray}},
+         {
+             {"seeds_run >= 200",
+              [](const JsonValue& r, bool) { return Num(r, "seeds_run") >= 200; }},
+             {"always_violations == 0",
+              [](const JsonValue& r, bool) { return Num(r, "always_violations") == 0.0; }},
+             {"unreached_sometimes == 0 (every SOMETIMES/REACHABLE reached)",
+              [](const JsonValue& r, bool) { return Num(r, "unreached_sometimes") == 0.0; }},
+             {"failing_seeds == 0",
+              [](const JsonValue& r, bool) { return Num(r, "failing_seeds") == 0.0; }},
+         }},
+        {"configs", true, {{"label", kStr}, {"episodes", kNum}}, {}},
+        {"properties",
+         true,
+         {{"name", kStr}, {"kind", kStr}, {"passes", kNum}, {"failures", kNum}},
+         {
+             {"an ALWAYS property has 0 failures",
+              [](const JsonValue& p, bool) {
+                return Str(p, "kind") != "ALWAYS" || Num(p, "failures") == 0.0;
+              }},
+             {"a SOMETIMES/REACHABLE property passed at least once",
+              [](const JsonValue& p, bool) {
+                return !OneOf(Str(p, "kind"), {"SOMETIMES", "REACHABLE"}) ||
+                       Num(p, "passes") > 0.0;
+              }},
+         }},
+        {"replay",
+         false,
+         {{"checked", kNum}, {"mismatches", kNum}},
+         {
+             {"replay.checked >= 1",
+              [](const JsonValue& r, bool) { return Num(r, "checked") >= 1; }},
+             {"replay.mismatches == 0",
+              [](const JsonValue& r, bool) { return Num(r, "mismatches") == 0.0; }},
+         }},
+    },
+    {
+        {"config cells lineage/frontier x scoped/unscoped each ran episodes",
+         [](const JsonValue& root, bool) {
+           for (std::string_view label :
+                {"lineage/scoped", "lineage/unscoped", "frontier/scoped", "frontier/unscoped"}) {
+             const bool found = Any(root, "configs", [label](const JsonValue& c) {
+               return Str(c, "label") == label && Num(c, "episodes") > 0;
+             });
+             if (!found) {
+               return false;
+             }
+           }
+           return true;
+         }},
+    },
+};
+
+const Schema* const kSchemas[] = {&kLoadSweep, &kTraceMesh, &kSimSweep};
+
+// --- The checker ---------------------------------------------------------------
+
+const char* KindName(Kind kind) {
+  static constexpr const char* kNames[] = {"object", "array", "string", "number", "bool", "null"};
+  return kNames[static_cast<int>(kind)];
+}
+
+// Checks one element against its section; returns the number of errors.
+int CheckElement(const Section& section, const std::string& where, const JsonValue& element,
+                 bool quick) {
+  if (element.kind != Kind::kObject) {
+    std::fprintf(stderr, "validate_bench_json: %s is not an object\n", where.c_str());
+    return 1;
+  }
   int errors = 0;
-  for (size_t k = 0; k < num_keys; ++k) {
-    const JsonValue* field = value.Find(keys[k]);
-    if (field == nullptr) {
-      std::fprintf(stderr, "validate_bench_json: phases[%zu] missing \"%s\"\n", index, keys[k]);
+  for (const Field& field : section.fields) {
+    const JsonValue* value = element.Find(field.key);
+    if (value == nullptr) {
+      std::fprintf(stderr, "validate_bench_json: %s missing \"%s\"\n", where.c_str(), field.key);
       ++errors;
-    } else if (field->kind != kind) {
-      std::fprintf(stderr, "validate_bench_json: phases[%zu].%s is not a %s\n", index, keys[k],
-                   kind_name);
+    } else if (value->kind != field.kind) {
+      std::fprintf(stderr, "validate_bench_json: %s.%s is not a %s\n", where.c_str(), field.key,
+                   KindName(field.kind));
+      ++errors;
+    }
+  }
+  for (const auto& [key, value] : element.object) {
+    bool known = false;
+    for (const Field& field : section.fields) {
+      known |= key == field.key;
+    }
+    if (!known) {
+      std::fprintf(stderr, "validate_bench_json: %s has unknown field \"%s\"\n", where.c_str(),
+                   key.c_str());
+      ++errors;
+    }
+  }
+  for (const Rule& rule : section.each) {
+    if (!rule.holds(element, quick)) {
+      std::fprintf(stderr, "validate_bench_json: %s violates: %s\n", where.c_str(), rule.what);
       ++errors;
     }
   }
   return errors;
 }
 
-double NumberOr(const JsonValue& value, const std::string& key, double fallback) {
-  const JsonValue* field = value.Find(key);
-  return field != nullptr && field->kind == JsonValue::Kind::kNumber ? field->number : fallback;
-}
-
-bool BoolOr(const JsonValue& value, const std::string& key, bool fallback) {
-  const JsonValue* field = value.Find(key);
-  return field != nullptr && field->kind == JsonValue::Kind::kBool ? field->boolean : fallback;
-}
-
-// The trace-mesh macrobench schema (emitted by bench/trace_mesh, documented
-// in DESIGN.md §14).
-int CheckTraceMesh(const char* path, const JsonValue& root) {
+int CheckSchema(const Schema& schema, const JsonValue& root) {
+  const bool quick = Bool(root, "quick");
   int errors = 0;
-  const bool quick = BoolOr(root, "quick", false);
-
-  // Graph-shape block: the acceptance regime must be visible in the artifact.
-  const JsonValue* graph = root.Find("graph");
-  if (graph == nullptr || graph->kind != JsonValue::Kind::kObject) {
-    std::fprintf(stderr, "validate_bench_json: missing \"graph\" shape object\n");
-    ++errors;
-  } else {
-    const double live = NumberOr(*graph, "live_services", 0.0);
-    const double min_stateful = NumberOr(*graph, "min_stateful_calls", 0.0);
-    const double min_depth = NumberOr(*graph, "min_depth", 0.0);
-    if (min_stateful < 20) {
-      std::fprintf(stderr,
-                   "validate_bench_json: graph.min_stateful_calls %.0f < 20 — not the "
-                   "deep-graph regime\n",
-                   min_stateful);
-      ++errors;
+  for (const Section& section : schema.sections) {
+    if (section.key == nullptr) {
+      errors += CheckElement(section, "root", root, quick);
+      continue;
     }
-    if (min_depth < 5) {
-      std::fprintf(stderr, "validate_bench_json: graph.min_depth %.0f < 5\n", min_depth);
-      ++errors;
-    }
-    if (!quick && live < 200) {
-      std::fprintf(stderr,
-                   "validate_bench_json: graph.live_services %.0f < 200 on a full run\n", live);
-      ++errors;
-    }
-  }
-
-  // Lineage-carry points: the per-hop context cost at ≥20 deps.
-  const JsonValue* carry = root.Find("carry");
-  bool carry_deep = false;
-  if (carry == nullptr || carry->kind != JsonValue::Kind::kArray || carry->array.empty()) {
-    std::fprintf(stderr, "validate_bench_json: missing or empty \"carry\" array\n");
-    ++errors;
-  } else {
-    for (const JsonValue& point : carry->array) {
-      if (point.kind != JsonValue::Kind::kObject ||
-          point.Find("p50_ns") == nullptr || point.Find("allocs_per_hop") == nullptr) {
-        std::fprintf(stderr, "validate_bench_json: malformed carry point\n");
-        ++errors;
-        continue;
-      }
-      carry_deep |= NumberOr(point, "deps", 0.0) >= 20;
-    }
-    if (!carry_deep) {
-      std::fprintf(stderr, "validate_bench_json: carry array lacks a point at >=20 deps\n");
-      ++errors;
-    }
-  }
-
-  const JsonValue* phases = root.Find("phases");
-  if (phases == nullptr || phases->kind != JsonValue::Kind::kArray || phases->array.empty()) {
-    std::fprintf(stderr, "validate_bench_json: missing or empty \"phases\" array\n");
-    return 1;
-  }
-  const char* required_numbers[] = {"peak_req_s",   "p50_ms",
-                                    "p99_ms",       "p999_ms",
-                                    "scoped_skips", "metadata_bytes_per_req",
-                                    "violations",   "allocs_per_req"};
-  const char* required_strings[] = {"name", "backend"};
-  const char* required_bools[] = {"antipode", "use_scope"};
-  bool any_lineage = false;
-  bool any_frontier = false;
-  bool any_scoped_engaged = false;
-  bool any_unscoped = false;
-  for (size_t i = 0; i < phases->array.size(); ++i) {
-    const JsonValue& phase = phases->array[i];
-    if (phase.kind != JsonValue::Kind::kObject) {
-      std::fprintf(stderr, "validate_bench_json: phases[%zu] is not an object\n", i);
+    const JsonValue* value = root.Find(section.key);
+    const Kind expected = section.array ? Kind::kArray : Kind::kObject;
+    if (value == nullptr || value->kind != expected ||
+        (section.array && value->array.empty())) {
+      std::fprintf(stderr, "validate_bench_json: missing%s \"%s\" %s\n",
+                   section.array ? " or empty" : "", section.key, KindName(expected));
       ++errors;
       continue;
     }
-    errors += RequireFields(phase, i, required_numbers,
-                            sizeof(required_numbers) / sizeof(required_numbers[0]),
-                            JsonValue::Kind::kNumber, "number");
-    errors += RequireFields(phase, i, required_strings,
-                            sizeof(required_strings) / sizeof(required_strings[0]),
-                            JsonValue::Kind::kString, "string");
-    errors += RequireFields(phase, i, required_bools,
-                            sizeof(required_bools) / sizeof(required_bools[0]),
-                            JsonValue::Kind::kBool, "bool");
-    const JsonValue* backend = phase.Find("backend");
-    if (backend != nullptr && backend->kind == JsonValue::Kind::kString) {
-      any_lineage |= backend->string == "lineage";
-      any_frontier |= backend->string == "stable_frontier";
+    if (!section.array) {
+      errors += CheckElement(section, section.key, *value, quick);
+      continue;
     }
-    const bool antipode = BoolOr(phase, "antipode", false);
-    if (antipode && NumberOr(phase, "violations", -1.0) != 0.0) {
-      std::fprintf(stderr,
-                   "validate_bench_json: phases[%zu] ran under enforcement with %.0f XCY "
-                   "violations\n",
-                   i, NumberOr(phase, "violations", -1.0));
-      ++errors;
-    }
-    if (antipode) {
-      if (BoolOr(phase, "use_scope", true)) {
-        any_scoped_engaged |= NumberOr(phase, "scoped_skips", 0.0) > 0;
-      } else {
-        any_unscoped = true;
-      }
+    for (size_t i = 0; i < value->array.size(); ++i) {
+      const std::string where = std::string(section.key) + "[" + std::to_string(i) + "]";
+      errors += CheckElement(section, where, value->array[i], quick);
     }
   }
-  if (!any_lineage || !any_frontier) {
-    std::fprintf(stderr,
-                 "validate_bench_json: need phases under both enforcement backends "
-                 "(lineage + stable_frontier)\n");
-    ++errors;
-  }
-  if (!any_scoped_engaged || !any_unscoped) {
-    std::fprintf(stderr,
-                 "validate_bench_json: missing the scoped/unscoped barrier pair (one scoped "
-                 "phase with scoped_skips>0, one with use_scope=false)\n");
-    ++errors;
-  }
-  if (errors != 0) {
-    return 1;
-  }
-  std::printf("validate_bench_json: %s OK (trace_mesh, %zu phases)\n", path,
-              phases->array.size());
-  return 0;
-}
-
-// The deterministic seed-sweep verdict artifact (emitted by bench/sim_sweep,
-// documented in DESIGN.md §15).
-int CheckSimSweep(const char* path, const JsonValue& root) {
-  int errors = 0;
-
-  const double seeds_run = NumberOr(root, "seeds_run", -1.0);
-  if (seeds_run < 200) {
-    std::fprintf(stderr, "validate_bench_json: seeds_run %.0f < 200\n", seeds_run);
-    ++errors;
-  }
-  if (NumberOr(root, "always_violations", -1.0) != 0.0) {
-    std::fprintf(stderr, "validate_bench_json: always_violations %.0f != 0\n",
-                 NumberOr(root, "always_violations", -1.0));
-    ++errors;
-  }
-  if (NumberOr(root, "unreached_sometimes", -1.0) != 0.0) {
-    std::fprintf(stderr,
-                 "validate_bench_json: %.0f SOMETIMES/REACHABLE properties never reached\n",
-                 NumberOr(root, "unreached_sometimes", -1.0));
-    ++errors;
-  }
-  if (NumberOr(root, "failing_seeds", -1.0) != 0.0) {
-    std::fprintf(stderr, "validate_bench_json: failing_seeds %.0f != 0\n",
-                 NumberOr(root, "failing_seeds", -1.0));
-    ++errors;
-  }
-
-  // Config grid: both backends × scoped/unscoped, every cell exercised.
-  const JsonValue* configs = root.Find("configs");
-  if (configs == nullptr || configs->kind != JsonValue::Kind::kArray) {
-    std::fprintf(stderr, "validate_bench_json: missing \"configs\" array\n");
-    ++errors;
-  } else {
-    const char* required[] = {"lineage/scoped", "lineage/unscoped", "frontier/scoped",
-                              "frontier/unscoped"};
-    for (const char* label : required) {
-      bool found = false;
-      for (const JsonValue& config : configs->array) {
-        const JsonValue* name = config.Find("label");
-        if (name != nullptr && name->kind == JsonValue::Kind::kString &&
-            name->string == label && NumberOr(config, "episodes", 0.0) > 0) {
-          found = true;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr,
-                     "validate_bench_json: config cell \"%s\" missing or ran 0 episodes\n",
-                     label);
-        ++errors;
-      }
-    }
-  }
-
-  // Per-property verdicts. ALWAYS must be failure-free; SOMETIMES/REACHABLE
-  // must have actually passed at least once over the sweep.
-  const JsonValue* properties = root.Find("properties");
-  if (properties == nullptr || properties->kind != JsonValue::Kind::kArray ||
-      properties->array.empty()) {
-    std::fprintf(stderr, "validate_bench_json: missing or empty \"properties\" array\n");
-    ++errors;
-  } else {
-    for (size_t i = 0; i < properties->array.size(); ++i) {
-      const JsonValue& property = properties->array[i];
-      const JsonValue* name = property.Find("name");
-      const JsonValue* kind = property.Find("kind");
-      if (name == nullptr || name->kind != JsonValue::Kind::kString || kind == nullptr ||
-          kind->kind != JsonValue::Kind::kString ||
-          property.Find("passes") == nullptr || property.Find("failures") == nullptr) {
-        std::fprintf(stderr, "validate_bench_json: malformed properties[%zu]\n", i);
-        ++errors;
-        continue;
-      }
-      const double passes = NumberOr(property, "passes", 0.0);
-      const double failures = NumberOr(property, "failures", 0.0);
-      if (kind->string == "ALWAYS" && failures != 0.0) {
-        std::fprintf(stderr, "validate_bench_json: ALWAYS property \"%s\" has %.0f failures\n",
-                     name->string.c_str(), failures);
-        ++errors;
-      }
-      if ((kind->string == "SOMETIMES" || kind->string == "REACHABLE") && passes <= 0.0) {
-        std::fprintf(stderr, "validate_bench_json: %s property \"%s\" was never reached\n",
-                     kind->string.c_str(), name->string.c_str());
-        ++errors;
-      }
-    }
-  }
-
-  // Replay determinism: at least one seed re-run, zero trace-hash mismatches.
-  const JsonValue* replay = root.Find("replay");
-  if (replay == nullptr || replay->kind != JsonValue::Kind::kObject) {
-    std::fprintf(stderr, "validate_bench_json: missing \"replay\" object\n");
-    ++errors;
-  } else {
-    if (NumberOr(*replay, "checked", 0.0) < 1) {
-      std::fprintf(stderr, "validate_bench_json: replay.checked %.0f < 1\n",
-                   NumberOr(*replay, "checked", 0.0));
-      ++errors;
-    }
-    if (NumberOr(*replay, "mismatches", -1.0) != 0.0) {
-      std::fprintf(stderr, "validate_bench_json: replay.mismatches %.0f != 0\n",
-                   NumberOr(*replay, "mismatches", -1.0));
+  for (const Rule& rule : schema.file) {
+    if (!rule.holds(root, quick)) {
+      std::fprintf(stderr, "validate_bench_json: missing: %s\n", rule.what);
       ++errors;
     }
   }
-
-  if (errors != 0) {
-    return 1;
-  }
-  std::printf("validate_bench_json: %s OK (sim_sweep, %.0f seeds)\n", path, seeds_run);
-  return 0;
+  return errors;
 }
 
 int Check(const char* path) {
@@ -553,106 +643,24 @@ int Check(const char* path) {
                  parser.error().c_str());
     return 1;
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (root.kind != Kind::kObject) {
     std::fprintf(stderr, "validate_bench_json: top level is not an object\n");
     return 1;
   }
-  const JsonValue* bench = root.Find("bench");
-  if (bench != nullptr && bench->kind == JsonValue::Kind::kString &&
-      bench->string == "trace_mesh") {
-    return CheckTraceMesh(path, root);
-  }
-  if (bench != nullptr && bench->kind == JsonValue::Kind::kString &&
-      bench->string == "sim_sweep") {
-    return CheckSimSweep(path, root);
-  }
-  const JsonValue* phases = root.Find("phases");
-  if (phases == nullptr || phases->kind != JsonValue::Kind::kArray || phases->array.empty()) {
-    std::fprintf(stderr, "validate_bench_json: missing or empty \"phases\" array\n");
-    return 1;
-  }
-  // Backend-tagged schema: every phase names its enforcement strategy
-  // ("lineage" / "stable_frontier", or "none" on non-Antipode baselines) and
-  // reports the metadata bytes that strategy ships per request, so the
-  // delta-comparison can pair phases across backends.
-  const char* required_numbers[] = {"peak_req_s", "p50_ms", "p99_ms", "p999_ms",
-                                    "metadata_bytes_per_req", "scoped_skips"};
-  const char* required_strings[] = {"name", "backend"};
-  int errors = 0;
-  bool any_backend_tagged = false;
-  bool any_scoped_locality = false;
-  bool any_unscoped_locality = false;
-  for (size_t i = 0; i < phases->array.size(); ++i) {
-    const JsonValue& phase = phases->array[i];
-    if (phase.kind != JsonValue::Kind::kObject) {
-      std::fprintf(stderr, "validate_bench_json: phases[%zu] is not an object\n", i);
-      ++errors;
+  const std::string_view bench = Str(root, "bench");
+  for (const Schema* schema : kSchemas) {
+    if (bench != schema->bench) {
       continue;
     }
-    for (const char* key : required_strings) {
-      const JsonValue* field = phase.Find(key);
-      if (field == nullptr) {
-        std::fprintf(stderr, "validate_bench_json: phases[%zu] missing \"%s\"\n", i, key);
-        ++errors;
-      } else if (field->kind != JsonValue::Kind::kString) {
-        std::fprintf(stderr, "validate_bench_json: phases[%zu].%s is not a string\n", i, key);
-        ++errors;
-      } else if (std::string_view(key) == "backend" && field->string != "none") {
-        any_backend_tagged = true;
-      }
+    if (CheckSchema(*schema, root) != 0) {
+      return 1;
     }
-    for (const char* key : required_numbers) {
-      const JsonValue* field = phase.Find(key);
-      if (field == nullptr) {
-        std::fprintf(stderr, "validate_bench_json: phases[%zu] missing \"%s\"\n", i, key);
-        ++errors;
-      } else if (field->kind != JsonValue::Kind::kNumber) {
-        std::fprintf(stderr, "validate_bench_json: phases[%zu].%s is not a number\n", i, key);
-        ++errors;
-      }
-    }
-    // Locality-tagged phases: the scoped/unscoped pair over the three
-    // region-group-disjoint beds. The scoped one must actually have skipped
-    // out-of-scope ⟨store, region⟩ pairs, or the scoping never engaged.
-    const JsonValue* locality = phase.Find("locality");
-    const JsonValue* use_scope = phase.Find("use_scope");
-    const JsonValue* skips = phase.Find("scoped_skips");
-    if (locality != nullptr && locality->kind == JsonValue::Kind::kBool && locality->boolean &&
-        use_scope != nullptr && use_scope->kind == JsonValue::Kind::kBool &&
-        skips != nullptr && skips->kind == JsonValue::Kind::kNumber) {
-      if (use_scope->boolean) {
-        if (skips->number > 0) {
-          any_scoped_locality = true;
-        } else {
-          std::fprintf(stderr,
-                       "validate_bench_json: phases[%zu] is a scoped locality phase with zero "
-                       "scoped_skips — scoping never engaged\n",
-                       i);
-          ++errors;
-        }
-      } else {
-        any_unscoped_locality = true;
-      }
-    }
+    std::printf("validate_bench_json: %s OK (%s)\n", path, schema->bench);
+    return 0;
   }
-  if (!any_backend_tagged) {
-    std::fprintf(stderr,
-                 "validate_bench_json: no phase names an enforcement backend — the "
-                 "strategy comparison is missing\n");
-    ++errors;
-  }
-  if (!any_scoped_locality || !any_unscoped_locality) {
-    std::fprintf(stderr,
-                 "validate_bench_json: missing the locality phase pair (need one locality "
-                 "phase with use_scope=true and scoped_skips>0, one with use_scope=false) — "
-                 "the scoped-vs-unscoped comparison is missing\n");
-    ++errors;
-  }
-  if (errors != 0) {
-    return 1;
-  }
-  std::printf("validate_bench_json: %s OK (%zu phases)\n", path, phases->array.size());
-  return 0;
+  std::fprintf(stderr, "validate_bench_json: %s has no schema for bench \"%.*s\"\n", path,
+               static_cast<int>(bench.size()), bench.data());
+  return 1;
 }
 
 }  // namespace

@@ -335,7 +335,7 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
   // The region metrics attribute to: the first requested one, kLocal for an
   // empty (trivially satisfied) request.
   const Region primary = regions.empty() ? Region::kLocal : regions.front();
-  if (options.use_cache && AllEnforced(lineage, regions)) {
+  if (AllEnforced(lineage, regions)) {
     CheckMemoSound(lineage, regions, *options.registry, options.use_scope);
     if (memoizable != nullptr) {
       *memoizable = false;  // already memoized; nothing new proved
@@ -442,13 +442,11 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
           ++scoped_skips;
           continue;
         }
-        if (options.use_cache) {
-          if (run.vis != nullptr && run.vis->IsVisible(region, dep->key, dep->version)) {
-            ++hits;
-            continue;
-          }
-          ++misses;
+        if (run.vis != nullptr && run.vis->IsVisible(region, dep->key, dep->version)) {
+          ++hits;
+          continue;
         }
+        ++misses;
         const uint64_t stamp = run.stamps != nullptr ? run.stamps[dep - run.begin] : 0;
         if (stamp != 0) {
           region_cut = std::max(region_cut, stamp);
@@ -478,11 +476,9 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
       }
     }
   }
-  if (options.use_cache && (hits != 0 || misses != 0)) {
-    const CacheInstruments& counters = CacheCounters();
-    if (hits != 0) counters.hit->Increment(hits);
-    if (misses != 0) counters.miss->Increment(misses);
-  }
+  const CacheInstruments& cache = CacheCounters();
+  if (hits != 0) cache.hit->Increment(hits);
+  if (misses != 0) cache.miss->Increment(misses);
   CountScopedSkips(scoped_skips);
 
   auto finish = [primary, start, num_deps, deadline, trace, done = std::move(done)](Status status) {
@@ -508,9 +504,7 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
   if (groups.empty() && cut_waits.empty()) {
     // Every dependency hit the cache (or the lineage resolved to nothing):
     // the barrier completes without touching a registry, timer, or pool.
-    if (options.use_cache) {
-      CacheCounters().zero_wait->Increment();
-    }
+    cache.zero_wait->Increment();
     finish(Status::Ok());
     return Status::Ok();
   }
@@ -560,7 +554,7 @@ Status LaunchEnforcement(const Lineage& lineage, const std::vector<Region>& regi
 // the structured BarrierDryRunResult onto the Status vocabulary.
 Status DryRunStatus(const Lineage& lineage, Region region, const BarrierOptions& options) {
   const BarrierDryRunResult result =
-      BarrierDryRun(lineage, region, options.registry, options.use_cache, options.use_scope);
+      BarrierDryRun(lineage, region, options.registry, options.use_scope);
   if (!result.unresolved.empty() && !options.ignore_unknown_stores) {
     return Status::FailedPrecondition("no shim registered for store: " +
                                       result.unresolved.front().store);
@@ -594,7 +588,7 @@ Status RunBlocking(const Lineage& lineage, const std::vector<Region>& regions,
     return Status::DeadlineExceeded("barrier never completed (simulation quiescent)");
   }
   Status status = done->Take();
-  if (status.ok() && memoizable && options.use_cache) {
+  if (status.ok() && memoizable) {
     for (Region region : regions) {
       lineage.MarkEnforced(region);
     }
@@ -672,9 +666,9 @@ void BarrierAsync(Lineage lineage, Region region, ThreadPool* executor,
 }
 
 BarrierDryRunResult BarrierDryRun(const Lineage& lineage, Region region, ShimRegistry* registry,
-                                  bool use_cache, bool use_scope) {
+                                  bool use_scope) {
   BarrierDryRunResult result;
-  if (use_cache && lineage.enforced_at(region)) {
+  if (lineage.enforced_at(region)) {
     // A past barrier proved every dependency visible in this region's local
     // replicas; IsVisible shares that semantics, so the probes would all pass.
     CheckMemoSound(lineage, {&region, 1}, *registry, use_scope);
@@ -698,23 +692,21 @@ BarrierDryRunResult BarrierDryRun(const Lineage& lineage, Region region, ShimReg
       result.consistent = false;
       continue;
     }
-    const StoreVisibility* vis = use_cache ? shim->visibility() : nullptr;
-    if (vis != nullptr && vis->IsVisible(region, dep.key, dep.version)) {
+    // One probe per dependency, through the shim: for record-backed shims it
+    // reads the same per-key record as the engine's probe (and also answers
+    // the vacuous no-replica case), for foreign shims it is the only probe.
+    if (shim->IsVisible(region, dep)) {
       CacheCounters().hit->Increment();
       continue;
     }
-    if (use_cache) {
-      CacheCounters().miss->Increment();
-    }
-    if (!shim->IsVisible(region, dep)) {
-      result.unmet.push_back(dep);
-      result.consistent = false;
-    }
+    CacheCounters().miss->Increment();
+    result.unmet.push_back(dep);
+    result.consistent = false;
   }
   CountScopedSkips(scoped_skips);
   // Consistent ⇒ every dependency resolved and probed visible locally, which
   // is exactly the enforcement memo's meaning.
-  if (use_cache && result.consistent) {
+  if (result.consistent) {
     lineage.MarkEnforced(region);
   }
   return result;

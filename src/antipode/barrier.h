@@ -64,7 +64,7 @@ struct BarrierDryRunResult {
 };
 BarrierDryRunResult BarrierDryRun(const Lineage& lineage, Region region,
                                   ShimRegistry* registry = &ShimRegistry::Default(),
-                                  bool use_cache = true, bool use_scope = true);
+                                  bool use_scope = true);
 
 }  // namespace antipode
 

@@ -4,8 +4,11 @@
 // engine: group the lineage's dependencies by datastore, drop the ⟨dep,
 // region⟩ pairs the dependency's locality scope excludes, probe each store's
 // records for visibility, arm the remaining waits under one shared deadline
-// and gather them. `BarrierOptions::backend` selects only how a store's probe
-// misses are encoded for waiting:
+// and gather them. The probe (and the lineage's enforcement memo) is always
+// on: a barrier whose dependencies all hit returns Ok with zero thread-pool,
+// timer, or registry traffic (`barrier.zero_wait`), soundly because
+// visibility is monotone (DESIGN.md §8). `BarrierOptions::backend` selects
+// only how a store's probe misses are encoded for waiting:
 //   * kLineage — exact dependencies: one batched wait per ⟨store, region⟩
 //     on the stores' replication watermarks for exactly the missed
 //     ⟨key, version⟩ pairs (paper §6.3). Metadata O(|lineage|), wait cost
@@ -46,13 +49,6 @@ struct BarrierOptions {
   // dependencies) otherwise. Never blocks. `BarrierDryRun` is the richer
   // structured form of the same probe.
   bool dry_run = false;
-  // Probe each store's records (and the lineage's enforcement memo) before
-  // issuing any wait: dependencies proven visible are skipped, and a barrier
-  // whose dependencies all hit returns Ok with zero thread-pool, timer, or
-  // registry traffic (`barrier.zero_wait`). Sound because visibility is
-  // monotone — a hit can never be invalidated (DESIGN.md §8). Off is the
-  // measurable baseline.
-  bool use_cache = true;
   // Honor each dependency's locality scope (WriteId::scope): waits and
   // frontier cuts are armed only for ⟨store, region⟩ pairs the scope still
   // names, so a barrier at US never blocks on — or even probes — SG-only

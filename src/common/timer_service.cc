@@ -15,7 +15,7 @@ namespace {
 
 size_t ResolveWorkers(size_t requested) {
   if (requested != TimerServiceOptions::kDefaultWorkers) {
-    return requested;
+    return std::max<size_t>(1, requested);
   }
   const size_t cores = std::thread::hardware_concurrency();
   return std::clamp<size_t>(cores, 2, 8);
@@ -170,9 +170,9 @@ size_t TimerService::PendingCount() const {
 void TimerService::DispatchLoop(Shard& shard) {
   // Due entries are drained in batches: one lock hold pops everything whose
   // deadline has passed (up to kMaxBatch), then routing — the lock-free
-  // worker pushes or the inline runs — happens unlocked. Under load this
-  // turns a lock/unlock cycle per timer into one per batch; schedulers
-  // blocked on shard.mu get the whole routing window to refill the heap.
+  // worker pushes — happens unlocked. Under load this turns a lock/unlock
+  // cycle per timer into one per batch; schedulers blocked on shard.mu get
+  // the whole routing window to refill the heap.
   // Heap pop order preserves the per-token contract: deadline order, FIFO
   // within equal deadlines, and batch routing keeps that order per worker.
   constexpr size_t kMaxBatch = 128;
@@ -210,15 +210,10 @@ void TimerService::DispatchLoop(Shard& shard) {
     for (Entry& entry : batch) {
       shard.dispatch_lag->Record(
           ToMillis(std::chrono::duration_cast<Duration>(now - entry.when)));
-      if (workers_.empty()) {
-        entry.fn();
-        callbacks_run_->Increment();
-      } else {
-        // Same affinity → same worker queue, so equal-deadline FIFO within a
-        // token survives the handoff (this shard is the only producer of the
-        // token's entries, and the worker executes its queue serially).
-        workers_[entry.affinity % workers_.size()]->tasks.Push(std::move(entry.fn));
-      }
+      // Same affinity → same worker queue, so equal-deadline FIFO within a
+      // token survives the handoff (this shard is the only producer of the
+      // token's entries, and the worker executes its queue serially).
+      workers_[entry.affinity % workers_.size()]->tasks.Push(std::move(entry.fn));
     }
     batch.clear();
     lock.lock();

@@ -16,10 +16,7 @@
 // shipments by (store, key, destination) to keep per-key apply order intact;
 // callers that need no ordering just omit the token and get maximum spread.
 // There is NO cross-token ordering guarantee, even within one shard.
-//
-// `num_workers == 0` selects the legacy inline mode: each shard's dispatcher
-// runs its callbacks itself (one shard + zero workers reproduces the old
-// single-thread engine exactly; benches use it as the scaling baseline).
+// Dispatchers never run a callback themselves.
 
 #ifndef SRC_COMMON_TIMER_SERVICE_H_
 #define SRC_COMMON_TIMER_SERVICE_H_
@@ -47,8 +44,7 @@ struct TimerServiceOptions {
   // Timer shards: independent heaps + dispatcher threads. More shards reduce
   // contention on ScheduleAfter and let due events fire in parallel.
   size_t num_shards = 4;
-  // Callback workers. 0 = run callbacks inline on each shard's dispatcher
-  // (legacy single-thread behaviour when num_shards == 1).
+  // Callback workers; 0 resolves to 1.
   size_t num_workers = kDefaultWorkers;
 
   // Deterministic simulation mode: no shards, no workers, no threads — every

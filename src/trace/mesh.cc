@@ -154,14 +154,13 @@ LiveMesh::LiveMesh(const MeshTopology* topology, LiveMeshOptions options)
     auto store_options =
         KvStore::DefaultOptions(MeshTopology::StoreName(i, options_.tag), options_.store_regions);
     // Pinned profile, like the load sweep: a real-time straggler mode would
-    // alias with saturation at every rate.
+    // dominate every latency percentile of a short window.
     store_options.replication.slow_mode_probability = 0.0;
     stores_.push_back(std::make_unique<KvStore>(std::move(store_options)));
     shims_.push_back(std::make_unique<KvShim>(stores_.back().get()));
     shim_registry_.Register(shims_.back().get());
   }
   barrier_options_ = BarrierOptions{.registry = &shim_registry_,
-                                    .use_cache = options_.use_cache,
                                     .use_scope = options_.use_scope,
                                     .backend = options_.backend};
 

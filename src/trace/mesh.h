@@ -151,7 +151,6 @@ MeshTopology BuildMeshTopology(const MeshOptions& options);
 
 struct LiveMeshOptions {
   bool antipode = true;
-  bool use_cache = true;
   bool use_scope = true;
   EnforcementBackendKind backend = EnforcementBackendKind::kLineage;
   // Where services run and writes land / where the terminal read executes.

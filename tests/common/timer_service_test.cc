@@ -152,11 +152,11 @@ TEST(TimerServiceTest, ShutdownWithDueTimersStillFires) {
   EXPECT_EQ(fired.load(), kDue);
 }
 
-TEST(TimerServiceTest, InlineModeRunsCallbacksOnDispatcher) {
-  // num_workers = 0 reproduces the legacy engine: callbacks inline on the
-  // (single) shard dispatcher, globally serialized.
+TEST(TimerServiceTest, ZeroWorkersResolvesToOneWorker) {
+  // No inline mode: a zero-worker request still gets one callback worker,
+  // so no callback ever runs on a shard dispatcher.
   TimerService timers(TimerServiceOptions{.num_shards = 1, .num_workers = 0});
-  EXPECT_EQ(timers.num_workers(), 0u);
+  EXPECT_EQ(timers.num_workers(), 1u);
   std::atomic<int> fired{0};
   for (int i = 0; i < 100; ++i) {
     timers.ScheduleAfter(Micros(0), [&] { fired.fetch_add(1); });
